@@ -14,6 +14,7 @@
 #include "common/experiment.hpp"
 #include "common/report.hpp"
 #include "common/table.hpp"
+#include "core/random_search.hpp"
 #include "core/random_walk.hpp"
 #include "stats/descriptive.hpp"
 
@@ -35,21 +36,18 @@ void ablation_enhancements(bench::BenchReport& report,
       opt.run_seed = 5;
       testbed::TestbedObjective objective(pair.problem, pair.landscape,
                                           pair.device, opt);
-      core::HyperPowerFramework fw(pair.problem, objective, pair.budgets);
-      fw.set_hardware_models(
-          models.power ? std::optional<core::HardwareModel>(models.power->model)
-                       : std::nullopt,
-          models.memory
-              ? std::optional<core::HardwareModel>(models.memory->model)
-              : std::nullopt);
-      core::FrameworkOptions fo;
-      fo.method = core::Method::Rand;
-      fo.manual_enhancements = true;  // toggle the two independently
-      fo.optimizer.use_hardware_models = filter;
-      fo.optimizer.use_early_termination = early;
-      fo.optimizer.max_runtime_s = pair.time_budget_s;
-      fo.optimizer.seed = 5;
-      const auto result = fw.make_optimizer(fo)->run();
+      const core::HardwareConstraints constraints =
+          bench::apriori_constraints(pair, models);
+      core::OptimizerOptions oo;
+      oo.use_hardware_models = filter;
+      oo.use_early_termination = early;
+      oo.max_runtime_s = pair.time_budget_s;
+      oo.seed = 5;
+      core::RandomSearchProposer rand(pair.problem.space());
+      const auto result =
+          core::EvaluationEngine(pair.problem.space(), objective, pair.budgets,
+                                 &constraints, oo, rand)
+              .run();
       t.add_row({filter ? "on" : "off", early ? "on" : "off",
                  std::to_string(result.trace.size()),
                  std::to_string(result.trace.function_evaluations()),
@@ -113,9 +111,9 @@ void ablation_indicator_vs_probability(bench::BenchReport& report,
       const auto result = bench::run_one(pair, modified, spec);
       t.add_row({bench::fmt_fixed(inflation, 1) + "x",
                  core::to_string(method),
-                 std::to_string(result.run.trace.measured_violation_count()),
-                 result.run.best
-                     ? bench::fmt_percent(result.run.best->test_error)
+                 std::to_string(result.trace.measured_violation_count()),
+                 result.best
+                     ? bench::fmt_percent(result.best->test_error)
                      : std::string("-")});
     }
   }
@@ -139,13 +137,8 @@ void ablation_randwalk_sigma(bench::BenchReport& report,
       opt.run_seed = 60 + static_cast<std::uint64_t>(run);
       testbed::TestbedObjective objective(pair.problem, pair.landscape,
                                           pair.device, opt);
-      core::HardwareConstraints constraints(
-          pair.budgets,
-          models.power ? std::optional<core::HardwareModel>(models.power->model)
-                       : std::nullopt,
-          models.memory
-              ? std::optional<core::HardwareModel>(models.memory->model)
-              : std::nullopt);
+      const core::HardwareConstraints constraints =
+          bench::apriori_constraints(pair, models);
       core::OptimizerOptions oo;
       oo.use_hardware_models = false;  // exhaustive default mode
       oo.use_early_termination = false;
@@ -153,9 +146,11 @@ void ablation_randwalk_sigma(bench::BenchReport& report,
       oo.seed = 60 + static_cast<std::uint64_t>(run);
       core::RandomWalkOptions walk;
       walk.sigma0 = sigma;
-      core::RandomWalkOptimizer rw(pair.problem.space(), objective,
-                                   pair.budgets, &constraints, oo, walk);
-      const auto result = rw.run();
+      core::RandomWalkProposer rw(pair.problem.space(), walk);
+      const auto result =
+          core::EvaluationEngine(pair.problem.space(), objective, pair.budgets,
+                                 &constraints, oo, rw)
+              .run();
       if (result.best) {
         ++found;
         errors.push_back(result.best->test_error);

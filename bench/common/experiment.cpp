@@ -103,9 +103,18 @@ TrainedModels train_models(const PairSetup& pair, std::size_t num_samples,
   return models;
 }
 
-core::FrameworkResult run_one(const PairSetup& pair,
-                              const TrainedModels& models,
-                              const RunSpec& spec) {
+core::HardwareConstraints apriori_constraints(const PairSetup& pair,
+                                              const TrainedModels& models) {
+  return core::HardwareConstraints(
+      pair.budgets,
+      models.power ? std::optional<core::HardwareModel>(models.power->model)
+                   : std::nullopt,
+      models.memory ? std::optional<core::HardwareModel>(models.memory->model)
+                    : std::nullopt);
+}
+
+core::RunResult run_one(const PairSetup& pair, const TrainedModels& models,
+                        const RunSpec& spec) {
   testbed::TestbedOptions options = testbed::calibrated_options(
       pair.problem.name(), pair.device);
   options.run_seed = spec.seed;
@@ -113,26 +122,25 @@ core::FrameworkResult run_one(const PairSetup& pair,
   testbed::TestbedObjective objective(pair.problem, pair.landscape,
                                       pair.device, options);
 
-  core::HyperPowerFramework framework(pair.problem, objective, pair.budgets);
-  framework.set_hardware_models(
-      models.power ? std::optional<core::HardwareModel>(models.power->model)
-                   : std::nullopt,
-      models.memory ? std::optional<core::HardwareModel>(models.memory->model)
-                    : std::nullopt);
-
-  core::FrameworkOptions fo;
-  fo.method = spec.method;
-  fo.hyperpower_mode = spec.hyperpower;
-  fo.optimizer.seed = spec.seed;
-  fo.optimizer.filter_before_training = spec.filter_before_training;
+  const core::HardwareConstraints constraints =
+      apriori_constraints(pair, models);
+  core::OptimizerOptions opt;
+  opt.use_hardware_models = spec.hyperpower;
+  opt.use_early_termination = spec.hyperpower;
+  opt.seed = spec.seed;
+  opt.filter_before_training = spec.filter_before_training;
   if (spec.max_function_evaluations) {
-    fo.optimizer.max_function_evaluations = *spec.max_function_evaluations;
+    opt.max_function_evaluations = *spec.max_function_evaluations;
   }
   if (spec.max_runtime_s) {
-    fo.optimizer.max_runtime_s = *spec.max_runtime_s;
+    opt.max_runtime_s = *spec.max_runtime_s;
   }
-  fo.optimizer.max_samples = 100000;
-  return framework.optimize(fo);
+  opt.max_samples = 100000;
+  const std::unique_ptr<core::Proposer> proposer =
+      core::make_proposer(spec.method, pair.problem.space());
+  return core::EvaluationEngine(pair.problem.space(), objective, pair.budgets,
+                                &constraints, opt, *proposer)
+      .run();
 }
 
 }  // namespace hp::bench

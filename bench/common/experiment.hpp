@@ -53,6 +53,10 @@ struct TrainedModels {
     std::uint64_t seed = 2018,
     const core::HardwareModelOptions& options = {});
 
+/// The pair's budgets with @p models as the a-priori power/memory models.
+[[nodiscard]] core::HardwareConstraints apriori_constraints(
+    const PairSetup& pair, const TrainedModels& models);
+
 /// One optimization run description.
 struct RunSpec {
   core::Method method = core::Method::HwIeci;
@@ -65,8 +69,8 @@ struct RunSpec {
 };
 
 /// Executes one run against a fresh testbed objective.
-[[nodiscard]] core::FrameworkResult run_one(const PairSetup& pair,
-                                            const TrainedModels& models,
-                                            const RunSpec& spec);
+[[nodiscard]] core::RunResult run_one(const PairSetup& pair,
+                                      const TrainedModels& models,
+                                      const RunSpec& spec);
 
 }  // namespace hp::bench

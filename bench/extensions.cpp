@@ -20,7 +20,6 @@
 #include "core/grid_search.hpp"
 #include "core/layerwise_models.hpp"
 #include "core/pareto.hpp"
-#include "core/random_search.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/metrics.hpp"
 
@@ -102,19 +101,16 @@ void extension_acquisitions(bench::BenchReport& report) {
       opt.run_seed = seed;
       testbed::TestbedObjective objective(pair.problem, pair.landscape,
                                           pair.device, opt);
-      core::HardwareConstraints constraints(
-          pair.budgets,
-          std::optional<core::HardwareModel>(models.power->model),
-          models.memory
-              ? std::optional<core::HardwareModel>(models.memory->model)
-              : std::nullopt);
+      const core::HardwareConstraints constraints =
+          bench::apriori_constraints(pair, models);
       core::OptimizerOptions oo;
       oo.max_runtime_s = 2 * 3600.0;
       oo.seed = seed;
-      core::BayesOptOptimizer optimizer(pair.problem.space(), objective,
-                                        pair.budgets, &constraints, oo,
-                                        entry.make());
-      const auto result = optimizer.run();
+      core::BayesOptProposer proposer(pair.problem.space(), entry.make());
+      const auto result =
+          core::EvaluationEngine(pair.problem.space(), objective, pair.budgets,
+                                 &constraints, oo, proposer)
+              .run();
       errors.push_back(result.best ? result.best->test_error : 1.0);
       violations.push_back(
           static_cast<double>(result.trace.measured_violation_count()));
@@ -134,55 +130,30 @@ void extension_grid(bench::BenchReport& report) {
   const bench::PairSetup pair =
       bench::make_pair(bench::Dataset::Mnist, bench::Platform::Gtx1070);
   const bench::TrainedModels models = bench::train_models(pair, 100, 2018);
-  core::HardwareConstraints constraints(
-      pair.budgets, std::optional<core::HardwareModel>(models.power->model),
-      models.memory
-          ? std::optional<core::HardwareModel>(models.memory->model)
-          : std::nullopt);
+  const core::HardwareConstraints constraints =
+      bench::apriori_constraints(pair, models);
 
   bench::TextTable t({"method", "samples", "trained", "best error"});
-  const auto run_and_row = [&](core::Optimizer& optimizer) {
-    const auto result = optimizer.run();
-    t.add_row({optimizer.name(), std::to_string(result.trace.size()),
+  const auto run_and_row = [&](core::Proposer& proposer) {
+    testbed::TestbedObjective objective(
+        pair.problem, pair.landscape, pair.device,
+        testbed::calibrated_options(pair.problem.name(), pair.device));
+    core::OptimizerOptions oo;
+    oo.max_runtime_s = pair.time_budget_s;
+    oo.seed = 3;
+    const auto result =
+        core::EvaluationEngine(pair.problem.space(), objective, pair.budgets,
+                               &constraints, oo, proposer)
+            .run();
+    t.add_row({proposer.name(), std::to_string(result.trace.size()),
                std::to_string(result.trace.completed_count()),
                result.best ? bench::fmt_percent(result.best->test_error)
                            : std::string("-")});
   };
-
-  {
-    testbed::TestbedObjective objective(
-        pair.problem, pair.landscape, pair.device,
-        testbed::calibrated_options(pair.problem.name(), pair.device));
-    core::OptimizerOptions oo;
-    oo.max_runtime_s = pair.time_budget_s;
-    oo.seed = 3;
-    core::GridSearchOptimizer grid(pair.problem.space(), objective,
-                                   pair.budgets, &constraints, oo);
-    run_and_row(grid);
-  }
-  {
-    testbed::TestbedObjective objective(
-        pair.problem, pair.landscape, pair.device,
-        testbed::calibrated_options(pair.problem.name(), pair.device));
-    core::OptimizerOptions oo;
-    oo.max_runtime_s = pair.time_budget_s;
-    oo.seed = 3;
-    core::RandomSearchOptimizer rand(pair.problem.space(), objective,
-                                     pair.budgets, &constraints, oo);
-    run_and_row(rand);
-  }
-  {
-    testbed::TestbedObjective objective(
-        pair.problem, pair.landscape, pair.device,
-        testbed::calibrated_options(pair.problem.name(), pair.device));
-    core::OptimizerOptions oo;
-    oo.max_runtime_s = pair.time_budget_s;
-    oo.seed = 3;
-    core::BayesOptOptimizer ieci(pair.problem.space(), objective,
-                                 pair.budgets, &constraints, oo,
-                                 std::make_unique<core::HwIeciAcquisition>());
-    run_and_row(ieci);
-  }
+  core::GridSearchProposer grid(pair.problem.space());
+  run_and_row(grid);
+  run_and_row(*core::make_proposer(core::Method::Rand, pair.problem.space()));
+  run_and_row(*core::make_proposer(core::Method::HwIeci, pair.problem.space()));
   report.add_table("grid_baseline", t);
   std::printf("%s=> grid levels quantize away the continuous training "
               "parameters, as the paper's\n   introduction argues.\n\n",
@@ -205,7 +176,7 @@ void extension_pareto(bench::BenchReport& report) {
     spec.max_runtime_s = pair.time_budget_s;
     spec.seed = 6;
     const auto result = bench::run_one(pair, models, spec);
-    const auto front = core::pareto_front(result.run.trace);
+    const auto front = core::pareto_front(result.trace);
     const double hv = core::pareto_hypervolume_2d(front, 0.5, 120.0);
     std::string low_power = "-", low_error = "-";
     if (!front.empty()) {

@@ -15,8 +15,6 @@
 #include "common/experiment.hpp"
 #include "common/report.hpp"
 #include "common/table.hpp"
-#include "core/acquisition.hpp"
-#include "core/bayes_opt.hpp"
 #include "core/fault_injection.hpp"
 #include "core/random_search.hpp"
 #include "core/trace_io.hpp"
@@ -25,29 +23,6 @@ namespace {
 
 using namespace hp;
 
-std::unique_ptr<core::Optimizer> make_method(
-    const std::string& method, const bench::PairSetup& pair,
-    core::Objective& objective, const core::HardwareConstraints* constraints,
-    const core::OptimizerOptions& options) {
-  if (method == "Rand") {
-    return std::make_unique<core::RandomSearchOptimizer>(
-        pair.problem.space(), objective, pair.budgets, constraints, options);
-  }
-  return std::make_unique<core::BayesOptOptimizer>(
-      pair.problem.space(), objective, pair.budgets, constraints, options,
-      std::make_unique<core::HwIeciAcquisition>());
-}
-
-core::HardwareConstraints make_constraints(const bench::PairSetup& pair,
-                                           const bench::TrainedModels& models) {
-  return core::HardwareConstraints(
-      pair.budgets,
-      models.power ? std::optional<core::HardwareModel>(models.power->model)
-                   : std::nullopt,
-      models.memory ? std::optional<core::HardwareModel>(models.memory->model)
-                    : std::nullopt);
-}
-
 void scenario_eval_faults(bench::BenchReport& report,
                           const bench::PairSetup& pair,
                           const bench::TrainedModels& models) {
@@ -55,8 +30,9 @@ void scenario_eval_faults(bench::BenchReport& report,
               pair.label.c_str());
   bench::TextTable t({"method", "fault rate", "samples", "failed", "retries",
                       "overhead time", "best error"});
-  const core::HardwareConstraints constraints = make_constraints(pair, models);
-  for (const std::string method : {"Rand", "HW-IECI"}) {
+  const core::HardwareConstraints constraints =
+      bench::apriori_constraints(pair, models);
+  for (core::Method method : {core::Method::Rand, core::Method::HwIeci}) {
     double clean_time = 0.0;
     for (double rate : {0.0, 0.1, 0.2, 0.4}) {
       testbed::TestbedOptions opt =
@@ -71,8 +47,11 @@ void scenario_eval_faults(bench::BenchReport& report,
       core::OptimizerOptions oo;
       oo.max_function_evaluations = 30;
       oo.seed = 7;
+      const auto proposer = core::make_proposer(method, pair.problem.space());
       const auto result =
-          make_method(method, pair, faulty, &constraints, oo)->run();
+          core::EvaluationEngine(pair.problem.space(), faulty, pair.budgets,
+                                 &constraints, oo, *proposer)
+              .run();
       const double total = result.trace.total_time_s();
       if (rate == 0.0) clean_time = total;
       std::ostringstream overhead;
@@ -81,7 +60,7 @@ void scenario_eval_faults(bench::BenchReport& report,
                << (clean_time > 0.0 ? 100.0 * (total - clean_time) / clean_time
                                     : 0.0)
                << "%";
-      t.add_row({method, bench::fmt_fixed(rate, 2),
+      t.add_row({core::to_string(method), bench::fmt_fixed(rate, 2),
                  std::to_string(result.trace.size()),
                  std::to_string(result.trace.failed_count()),
                  std::to_string(result.trace.total_retries()),
@@ -118,9 +97,10 @@ void scenario_sensor_faults(bench::BenchReport& report,
     core::OptimizerOptions oo;
     oo.max_function_evaluations = 30;
     oo.seed = 8;
-    core::RandomSearchOptimizer optimizer(pair.problem.space(), objective,
-                                          pair.budgets, nullptr, oo);
-    const auto result = optimizer.run();
+    core::RandomSearchProposer rand(pair.problem.space());
+    const auto result = core::EvaluationEngine(pair.problem.space(), objective,
+                                               pair.budgets, nullptr, oo, rand)
+                            .run();
     // Unfiltered random search rarely hits the budgets, so report the best
     // completed error instead of the best *feasible* one: the claim under
     // test is that degraded measurements leave the search unharmed.
@@ -158,9 +138,10 @@ void scenario_crash_resume(bench::BenchReport& report,
     opt.run_seed = 9;
     testbed::TestbedObjective objective(pair.problem, pair.landscape,
                                         pair.device, opt);
-    core::RandomSearchOptimizer optimizer(pair.problem.space(), objective,
-                                          pair.budgets, nullptr, oo);
-    return optimizer.run();
+    core::RandomSearchProposer rand(pair.problem.space());
+    return core::EvaluationEngine(pair.problem.space(), objective,
+                                  pair.budgets, nullptr, oo, rand)
+        .run();
   };
   const auto reference = run_full();
   std::ostringstream reference_csv;
@@ -177,10 +158,11 @@ void scenario_crash_resume(bench::BenchReport& report,
                                         pair.device, opt);
     core::OptimizerOptions resumed_options = oo;
     resumed_options.journal_path = journal_path + ".resumed";
-    core::RandomSearchOptimizer optimizer(pair.problem.space(), objective,
-                                          pair.budgets, nullptr,
-                                          resumed_options);
-    const auto resumed = optimizer.resume(records);
+    core::RandomSearchProposer rand(pair.problem.space());
+    const auto resumed =
+        core::EvaluationEngine(pair.problem.space(), objective, pair.budgets,
+                               nullptr, resumed_options, rand)
+            .resume(records);
     std::ostringstream resumed_csv;
     resumed.trace.write_csv(resumed_csv);
     t.add_row({std::to_string(records.size()) + " records",

@@ -54,19 +54,19 @@ int main() {
       spec.max_function_evaluations = kEvals;
       spec.seed = 100 + static_cast<std::uint64_t>(run);
       const auto result = bench::run_one(pair, models, spec);
-      series.name = result.method_name;
-      const auto best = result.run.trace.best_error_per_function_evaluation();
-      const auto viol = result.run.trace.violations_per_function_evaluation();
+      series.name = core::to_string(method);
+      const auto best = result.trace.best_error_per_function_evaluation();
+      const auto viol = result.trace.violations_per_function_evaluation();
       for (std::size_t e = 0; e < kEvals && e < best.size(); ++e) {
         series.best_error[e] += best[e] / kRuns;
         series.violations[e] += static_cast<double>(viol[e]) / kRuns;
       }
-      for (const auto& r : result.run.trace.records()) {
+      for (const auto& r : result.trace.records()) {
         if (r.status == core::EvaluationStatus::Completed) {
           series.scatter_errors.push_back(r.test_error);
         }
       }
-      series.total_violations += result.run.trace.measured_violation_count();
+      series.total_violations += result.trace.measured_violation_count();
     }
     all.push_back(std::move(series));
   }

@@ -38,7 +38,7 @@ int main() {
       // Figure 6 shows single traces; exhaustive runs frequently find no
       // feasible design at all, so an arbitrary seed would show a flat
       // line at 100%).
-      std::optional<core::FrameworkResult> result;
+      std::optional<core::RunResult> result;
       for (std::uint64_t seed : {7, 8, 9}) {
         bench::RunSpec spec;
         spec.method = method;
@@ -46,11 +46,10 @@ int main() {
         spec.max_runtime_s = pair.time_budget_s;
         spec.seed = seed;
         auto candidate = bench::run_one(pair, models, spec);
-        const double err = candidate.run.best
-                               ? candidate.run.best->test_error
-                               : 1.0;
+        const double err =
+            candidate.best ? candidate.best->test_error : 1.0;
         const double best_err =
-            result && result->run.best ? result->run.best->test_error : 1.0;
+            result && result->best ? result->best->test_error : 1.0;
         if (!result || err < best_err) result = std::move(candidate);
       }
 
@@ -58,7 +57,7 @@ int main() {
       std::vector<double> curve(kCheckpoints, 1.0);
       double best = 1.0;
       std::size_t next = 0;
-      const auto& records = result->run.trace.records();
+      const auto& records = result->trace.records();
       for (std::size_t c = 0; c < kCheckpoints; ++c) {
         const double t = pair.time_budget_s * (c + 1) / kCheckpoints;
         while (next < records.size() && records[next].timestamp_s <= t) {
@@ -69,16 +68,16 @@ int main() {
         }
         curve[c] = best;
       }
-      const std::string label = result->method_name +
+      const std::string label = core::to_string(method) +
                                 (hyperpower ? " [HyperPower]" : " [default]");
       labels.push_back(label);
       curves.push_back(curve);
       table.add_row(
-          {result->method_name, hyperpower ? "HyperPower" : "default",
-           std::to_string(result->run.trace.size()),
-           result->run.best ? bench::fmt_percent(result->run.best->test_error)
+          {core::to_string(method), hyperpower ? "HyperPower" : "default",
+           std::to_string(result->trace.size()),
+           result->best ? bench::fmt_percent(result->best->test_error)
                             : std::string("-"),
-           bench::fmt_or_dash(result->run.trace.time_to_error(0.25),
+           bench::fmt_or_dash(result->trace.time_to_error(0.25),
                               bench::fmt_hours)});
     }
   }

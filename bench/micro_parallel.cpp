@@ -9,8 +9,11 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <numeric>
+#include <vector>
 
 #include "common/micro_report.hpp"
+#include "core/evaluation_engine.hpp"
 #include "core/random_search.hpp"
 #include "parallel/thread_pool.hpp"
 #include "stats/rng.hpp"
@@ -32,11 +35,14 @@ void BM_ParallelForSpin(benchmark::State& state) {
   constexpr std::size_t kTasks = 64;
   constexpr std::size_t kItersPerTask = 200000;
   parallel::ThreadPool pool(threads - 1);  // caller participates
-  std::uint64_t sink = 0;
+  // One slot per task: pool threads never write the same variable.
+  std::vector<std::uint64_t> results(kTasks);
   for (auto _ : state) {
     pool.parallel_for(kTasks, [&](std::size_t i) {
-      benchmark::DoNotOptimize(sink += spin(i, kItersPerTask));
+      results[i] = spin(i, kItersPerTask);
     });
+    benchmark::DoNotOptimize(
+        std::accumulate(results.begin(), results.end(), std::uint64_t{0}));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kTasks));
@@ -77,9 +83,11 @@ void BM_BatchedOptimizerRun(benchmark::State& state) {
     opt.batch_size = 8;
     opt.num_threads = threads;
     opt.use_hardware_models = false;
-    core::RandomSearchOptimizer optimizer(problem.space(), objective, budgets,
-                                          nullptr, opt);
-    const auto result = optimizer.run();
+    core::RandomSearchProposer rand(problem.space());
+    const auto result =
+        core::EvaluationEngine(problem.space(), objective, budgets, nullptr,
+                               opt, rand)
+            .run();
     benchmark::DoNotOptimize(result.trace.size());
   }
   state.counters["threads"] = static_cast<double>(threads);

@@ -49,12 +49,12 @@ ModeStats run_mode(const bench::PairSetup& pair,
     spec.max_runtime_s = pair.time_budget_s;
     spec.seed = 40 + static_cast<std::uint64_t>(run);
     auto result = bench::run_one(pair, models, spec);
-    stats.found_feasible.push_back(result.run.best.has_value());
+    stats.found_feasible.push_back(result.best.has_value());
     stats.best_error.push_back(
-        result.run.best ? result.run.best->test_error : 1.0);
-    stats.samples.push_back(static_cast<double>(result.run.trace.size()));
-    stats.total_time_s.push_back(result.run.trace.total_time_s());
-    stats.traces.push_back(std::move(result.run.trace));
+        result.best ? result.best->test_error : 1.0);
+    stats.samples.push_back(static_cast<double>(result.trace.size()));
+    stats.total_time_s.push_back(result.trace.total_time_s());
+    stats.traces.push_back(std::move(result.trace));
   }
   return stats;
 }

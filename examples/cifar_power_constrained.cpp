@@ -26,7 +26,7 @@ void run_on_device(const hp::hw::DeviceSpec& device, double power_budget_w,
   testbed::TestbedObjective objective(
       problem, testbed::cifar10_landscape(), device,
       testbed::calibrated_options(problem.name(), device));
-  core::HyperPowerFramework framework(problem, objective, budgets);
+  core::HyperPowerFramework framework(problem, budgets);
 
   hw::GpuSimulator profiling_gpu(device, 21);
   hw::InferenceProfiler profiler(profiling_gpu);
@@ -40,38 +40,40 @@ void run_on_device(const hp::hw::DeviceSpec& device, double power_budget_w,
   }
   std::printf("\n\n");
 
+  // One virtual hour per method, in HyperPower mode (the OptimizerOptions
+  // default), each from a fresh clock.
+  core::OptimizerOptions options;
+  options.max_runtime_s = 3600.0;
+  options.seed = 4;
+  const auto search = [&](core::Method method) {
+    objective.virtual_clock().reset();
+    const auto proposer = core::make_proposer(method, problem.space());
+    return core::EvaluationEngine(problem.space(), objective, budgets,
+                                  framework.apriori_constraints(options),
+                                  options, *proposer)
+        .run();
+  };
+
   for (const core::Method method :
        {core::Method::Rand, core::Method::RandWalk, core::Method::HwCwei,
         core::Method::HwIeci}) {
-    objective.virtual_clock().reset();
-    core::FrameworkOptions fo;
-    fo.method = method;
-    fo.hyperpower_mode = true;
-    fo.optimizer.max_runtime_s = 3600.0;  // one virtual hour
-    fo.optimizer.seed = 4;
-    const auto result = framework.optimize(fo);
-    const auto& trace = result.run.trace;
+    const core::RunResult result = search(method);
+    const auto& trace = result.trace;
     std::printf("%-9s  samples %5zu  trained %3zu  filtered %5zu  ",
-                result.method_name.c_str(), trace.size(),
+                core::to_string(method).c_str(), trace.size(),
                 trace.completed_count(), trace.model_filtered_count());
-    if (result.run.best) {
-      std::printf("best %.2f%% @ %.1f W\n",
-                  result.run.best->test_error * 100.0,
-                  *result.run.best->measured_power_w);
+    if (result.best) {
+      std::printf("best %.2f%% @ %.1f W\n", result.best->test_error * 100.0,
+                  *result.best->measured_power_w);
     } else {
       std::printf("no feasible design found\n");
     }
   }
 
   // Show the winner's architecture in detail (from a fresh HW-IECI run).
-  objective.virtual_clock().reset();
-  core::FrameworkOptions fo;
-  fo.method = core::Method::HwIeci;
-  fo.optimizer.max_runtime_s = 3600.0;
-  fo.optimizer.seed = 4;
-  const auto result = framework.optimize(fo);
-  if (result.run.best) {
-    const nn::CnnSpec spec = problem.to_cnn_spec(result.run.best->config);
+  const core::RunResult result = search(core::Method::HwIeci);
+  if (result.best) {
+    const nn::CnnSpec spec = problem.to_cnn_spec(result.best->config);
     const nn::WorkloadSummary workload = nn::compute_workload(spec);
     std::printf("\nHW-IECI winner: %s\n", spec.to_string().c_str());
     std::printf("  %.2fM weights, %.1fM MACs per inference\n\n",

@@ -29,7 +29,7 @@ int main() {
   core::ConstraintBudgets budgets;
   budgets.power_w = 55.0;  // tight for the tiny space
 
-  core::HyperPowerFramework framework(problem, objective, budgets);
+  core::HyperPowerFramework framework(problem, budgets);
   hw::GpuSimulator profiling_gpu(hw::gtx1070(), 5);
   hw::InferenceProfiler profiler(profiling_gpu);
   (void)framework.train_hardware_models(profiler, 60, 2018);
@@ -37,23 +37,25 @@ int main() {
               framework.power_model()->cv.rmspe,
               framework.power_model()->sample_count);
 
+  core::OptimizerOptions search_options;  // HyperPower mode by default
+  search_options.max_function_evaluations = 12;  // 12 real trainings
+  search_options.max_samples = 600;
+  search_options.seed = 17;
   for (const core::Method method : {core::Method::Rand, core::Method::HwIeci}) {
     objective.clock().advance(0.0);  // (clock is per-objective; runs share it)
-    core::FrameworkOptions fo;
-    fo.method = method;
-    fo.hyperpower_mode = true;
-    fo.optimizer.max_function_evaluations = 12;  // 12 real trainings
-    fo.optimizer.max_samples = 600;
-    fo.optimizer.seed = 17;
-    const auto result = framework.optimize(fo);
+    const auto proposer = core::make_proposer(method, problem.space());
+    core::EvaluationEngine engine(problem.space(), objective, budgets,
+                                  framework.apriori_constraints(search_options),
+                                  search_options, *proposer);
+    const core::RunResult result = engine.run();
 
-    const auto& trace = result.run.trace;
+    const auto& trace = result.trace;
     std::printf("%s: %zu trainings, %zu candidates filtered a priori, "
                 "%zu early-terminated\n",
-                result.method_name.c_str(), trace.completed_count(),
+                proposer->name().c_str(), trace.completed_count(),
                 trace.model_filtered_count(), trace.early_terminated_count());
-    if (result.run.best) {
-      const auto& best = *result.run.best;
+    if (result.best) {
+      const auto& best = *result.best;
       std::printf("  best: %.1f%% test error at %.1f W  --  %s\n",
                   best.test_error * 100.0, *best.measured_power_w,
                   problem.to_cnn_spec(best.config).to_string().c_str());

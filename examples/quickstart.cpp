@@ -33,7 +33,7 @@ int main() {
 
   // 4. Offline phase: profile 80 random architectures through the NVML
   //    path and fit the linear power/memory models by 10-fold CV.
-  core::HyperPowerFramework framework(problem, objective, budgets);
+  core::HyperPowerFramework framework(problem, budgets);
   hw::GpuSimulator profiling_gpu(device, /*seed=*/7);
   hw::InferenceProfiler profiler(profiling_gpu);
   const std::size_t profiled =
@@ -44,21 +44,26 @@ int main() {
               framework.memory_model()->cv.rmspe);
 
   // 5. Online phase: HW-IECI Bayesian optimization for 2 (virtual) hours.
-  core::FrameworkOptions options;
-  options.method = core::Method::HwIeci;
-  options.hyperpower_mode = true;
-  options.optimizer.max_runtime_s = 2 * 3600.0;
-  options.optimizer.seed = 1;
-  const core::FrameworkResult result = framework.optimize(options);
+  //    HyperPower mode (a-priori model filtering + early termination) is
+  //    the OptimizerOptions default.
+  core::OptimizerOptions options;
+  options.max_runtime_s = 2 * 3600.0;
+  options.seed = 1;
+  const auto proposer =
+      core::make_proposer(core::Method::HwIeci, problem.space());
+  core::EvaluationEngine engine(problem.space(), objective, budgets,
+                                framework.apriori_constraints(options),
+                                options, *proposer);
+  const core::RunResult result = engine.run();
 
   // 6. The best power/memory-feasible network found.
-  const auto& trace = result.run.trace;
+  const auto& trace = result.trace;
   std::printf("queried %zu samples (%zu trained, %zu filtered a priori, "
               "%zu early-terminated)\n",
               trace.size(), trace.completed_count(),
               trace.model_filtered_count(), trace.early_terminated_count());
-  if (result.run.best) {
-    const auto& best = *result.run.best;
+  if (result.best) {
+    const auto& best = *result.best;
     std::printf("best feasible error: %.2f%% at %.1f W / %.0f MB\n",
                 best.test_error * 100.0, *best.measured_power_w,
                 best.measured_memory_mb.value_or(0.0));

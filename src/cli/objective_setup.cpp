@@ -78,7 +78,7 @@ std::unique_ptr<EvaluationStack> build_evaluation_stack(const Args& args) {
         *stack->objective, stack->fault_spec);
   }
   stack->framework = std::make_unique<core::HyperPowerFramework>(
-      stack->problem, stack->search_objective(), stack->budgets);
+      stack->problem, stack->budgets);
 
   if (stack->hyperpower_mode && stack->budgets.any()) {
     if (args.has("power-model") || args.has("memory-model")) {

@@ -2,8 +2,8 @@
 // Shared batch-fill helper for proposers with sequential proposal state.
 //
 // Three places used to repeat the same "one proposal per sample stream"
-// loop — Optimizer::propose_batch, the constant-liar loop in
-// bayes_opt.cpp, and the batched round in optimizer.cpp — each with its
+// loop — the base Proposer::propose_batch, the constant-liar loop in
+// bayes_opt.cpp, and the engine's batched round — each with its
 // own copy of the per-sample stats::stream_seed derivation and its own
 // exhaustion handling (or lack of it: a finite grid used to pad a short
 // final batch with wrapped-around repeats). fill_proposal_batch is the one

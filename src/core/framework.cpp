@@ -25,10 +25,28 @@ bool is_bayesian(Method method) noexcept {
   return method == Method::HwCwei || method == Method::HwIeci;
 }
 
+std::unique_ptr<Proposer> make_proposer(Method method,
+                                        const HyperParameterSpace& space,
+                                        RandomWalkOptions walk,
+                                        BayesOptOptions bo) {
+  switch (method) {
+    case Method::Rand:
+      return std::make_unique<RandomSearchProposer>(space);
+    case Method::RandWalk:
+      return std::make_unique<RandomWalkProposer>(space, walk);
+    case Method::HwCwei:
+      return std::make_unique<BayesOptProposer>(
+          space, std::make_unique<HwCweiAcquisition>(), bo);
+    case Method::HwIeci:
+      return std::make_unique<BayesOptProposer>(
+          space, std::make_unique<HwIeciAcquisition>(), bo);
+  }
+  throw std::invalid_argument("make_proposer: unknown method");
+}
+
 HyperPowerFramework::HyperPowerFramework(const BenchmarkProblem& problem,
-                                         Objective& objective,
                                          ConstraintBudgets budgets)
-    : problem_(problem), objective_(objective), budgets_(budgets) {}
+    : problem_(problem), budgets_(budgets) {}
 
 std::size_t HyperPowerFramework::train_hardware_models(
     hw::InferenceProfiler& profiler, std::size_t num_samples,
@@ -94,49 +112,15 @@ void HyperPowerFramework::rebuild_constraints() {
                     : std::nullopt);
 }
 
-std::unique_ptr<Optimizer> HyperPowerFramework::make_optimizer(
-    const FrameworkOptions& options) {
-  OptimizerOptions opt = options.optimizer;
-  if (!options.manual_enhancements) {
-    opt.use_hardware_models = options.hyperpower_mode;
-    opt.use_early_termination = options.hyperpower_mode;
-  }
-
-  if (opt.use_hardware_models && budgets_.any() && !constraints_.has_value()) {
+const HardwareConstraints* HyperPowerFramework::apriori_constraints(
+    const OptimizerOptions& options) const {
+  if (options.use_hardware_models && budgets_.any() &&
+      !constraints_.has_value()) {
     throw std::logic_error(
         "HyperPowerFramework: HyperPower mode with budgets requires trained "
         "hardware models (call train_hardware_models first)");
   }
-  const HardwareConstraints* constraints =
-      constraints_.has_value() ? &*constraints_ : nullptr;
-
-  switch (options.method) {
-    case Method::Rand:
-      return std::make_unique<RandomSearchOptimizer>(
-          problem_.space(), objective_, budgets_, constraints, opt);
-    case Method::RandWalk:
-      return std::make_unique<RandomWalkOptimizer>(
-          problem_.space(), objective_, budgets_, constraints, opt,
-          options.walk);
-    case Method::HwCwei:
-      return std::make_unique<BayesOptOptimizer>(
-          problem_.space(), objective_, budgets_, constraints, opt,
-          std::make_unique<HwCweiAcquisition>(), options.bo);
-    case Method::HwIeci:
-      return std::make_unique<BayesOptOptimizer>(
-          problem_.space(), objective_, budgets_, constraints, opt,
-          std::make_unique<HwIeciAcquisition>(), options.bo);
-  }
-  throw std::invalid_argument("HyperPowerFramework: unknown method");
-}
-
-FrameworkResult HyperPowerFramework::optimize(const FrameworkOptions& options) {
-  std::unique_ptr<Optimizer> optimizer = make_optimizer(options);
-  FrameworkResult result;
-  result.method_name = optimizer->name();
-  result.hyperpower_mode = options.hyperpower_mode;
-  result.run = optimizer->run();
-  return result;
+  return constraints_.has_value() ? &*constraints_ : nullptr;
 }
 
 }  // namespace hp::core

@@ -1,21 +1,28 @@
 #pragma once
-// The HyperPower framework facade (Figure 2): the ML practitioner provides
-// the NN design space (a BenchmarkProblem), the target platform (via the
-// profiler used to train the hardware models), the power/memory budgets and
-// the iteration/time budget; the framework returns the best NN satisfying
-// the constraints. All four methods — Rand, Rand-Walk, HW-CWEI, HW-IECI —
-// are available, each in HyperPower mode (a-priori models + early
-// termination) or "default" mode (the constraint-unaware exhaustive
-// counterpart used as the paper's baseline).
+// The HyperPower flow (Figure 2) in its two steps. Offline,
+// HyperPowerFramework profiles the target platform and trains the
+// power/memory models for the practitioner's NN design space (a
+// BenchmarkProblem) and budgets. Online, one search runs over one of the
+// four methods of Section 3 — Rand, Rand-Walk, HW-CWEI, HW-IECI — built by
+// make_proposer and driven by an EvaluationEngine:
+//
+//   auto proposer = make_proposer(Method::HwIeci, problem.space());
+//   EvaluationEngine engine(problem.space(), objective, budgets,
+//                           framework.apriori_constraints(options), options,
+//                           *proposer);
+//   RunResult result = engine.run();
+//
+// HyperPower mode (a-priori models + early termination) is
+// OptimizerOptions::use_hardware_models + use_early_termination; clearing
+// both gives the paper's "default" constraint-unaware baseline.
 
 #include <memory>
 #include <optional>
 #include <string>
 
 #include "core/bayes_opt.hpp"
+#include "core/evaluation_engine.hpp"
 #include "core/hw_models.hpp"
-#include "core/objective.hpp"
-#include "core/optimizer.hpp"
 #include "core/random_walk.hpp"
 #include "core/spaces.hpp"
 #include "hw/profiler.hpp"
@@ -28,36 +35,21 @@ enum class Method { Rand, RandWalk, HwCwei, HwIeci };
 [[nodiscard]] std::string to_string(Method method);
 [[nodiscard]] bool is_bayesian(Method method) noexcept;
 
-/// Per-run options.
-struct FrameworkOptions {
-  Method method = Method::HwIeci;
-  /// true = HyperPower (a-priori models + early termination);
-  /// false = the paper's "default" exhaustive counterpart.
-  bool hyperpower_mode = true;
-  /// When true, optimizer.use_hardware_models / use_early_termination are
-  /// taken as-is instead of being derived from hyperpower_mode — used by
-  /// the enhancement ablation to toggle the two independently.
-  bool manual_enhancements = false;
-  OptimizerOptions optimizer{};
-  RandomWalkOptions walk{};
-  BayesOptOptions bo{};
-};
+/// The proposer for @p method — the repository's one method-to-proposer
+/// switch. Its name() is to_string(method), the key journal headers and
+/// the CLI's resume check compare. @p walk configures Rand-Walk, @p bo the
+/// two Bayesian methods; each is ignored by the other methods.
+[[nodiscard]] std::unique_ptr<Proposer> make_proposer(
+    Method method, const HyperParameterSpace& space,
+    RandomWalkOptions walk = {}, BayesOptOptions bo = {});
 
-/// Everything one optimization run produced.
-struct FrameworkResult {
-  std::string method_name;
-  bool hyperpower_mode = true;
-  Optimizer::Result run;
-};
-
-/// Facade wiring problem + objective + hardware models + method.
+/// The offline phase: problem + budgets + the trained hardware models.
 class HyperPowerFramework {
  public:
-  /// @param problem design space and architecture mapping.
-  /// @param objective the expensive training/measurement function; must
-  ///        outlive the framework.
+  /// @param problem design space and architecture mapping; must outlive
+  ///        the framework.
   /// @param budgets the practitioner's power/memory budgets.
-  HyperPowerFramework(const BenchmarkProblem& problem, Objective& objective,
+  HyperPowerFramework(const BenchmarkProblem& problem,
                       ConstraintBudgets budgets);
 
   /// Offline phase (Section 3.3): samples @p num_samples random
@@ -83,14 +75,12 @@ class HyperPowerFramework {
     return memory_model_;
   }
 
-  /// Runs one optimization with the given method/mode. Requires trained
-  /// hardware models when options.hyperpower_mode is true and budgets are
-  /// set; throws std::logic_error otherwise.
-  [[nodiscard]] FrameworkResult optimize(const FrameworkOptions& options);
-
-  /// Builds the optimizer without running it (for custom loops/tests).
-  [[nodiscard]] std::unique_ptr<Optimizer> make_optimizer(
-      const FrameworkOptions& options);
+  /// The a-priori constraints (models + budgets) to hand an
+  /// EvaluationEngine running with @p options, or nullptr when no models
+  /// are installed. Throws std::logic_error when @p options asks for
+  /// hardware models, budgets are set, and none were trained or installed.
+  [[nodiscard]] const HardwareConstraints* apriori_constraints(
+      const OptimizerOptions& options) const;
 
   [[nodiscard]] const BenchmarkProblem& problem() const noexcept {
     return problem_;
@@ -103,7 +93,6 @@ class HyperPowerFramework {
   void rebuild_constraints();
 
   const BenchmarkProblem& problem_;
-  Objective& objective_;
   ConstraintBudgets budgets_;
   std::optional<TrainedHardwareModel> power_model_;
   std::optional<TrainedHardwareModel> memory_model_;

@@ -6,10 +6,9 @@
 // lexicographic order (the standard practice the paper argues against);
 // HyperPower's enhancements still apply through the evaluation engine.
 
-#include <memory>
 #include <vector>
 
-#include "core/optimizer.hpp"
+#include "core/proposer.hpp"
 
 namespace hp::core {
 
@@ -61,32 +60,6 @@ class GridSearchProposer final : public Proposer {
   GridSearchOptions grid_options_;
   std::vector<std::size_t> cursor_;  ///< per-dimension level index
   bool visited_all_ = false;
-};
-
-/// Facade preserving the historic subclass-per-method construction.
-class GridSearchOptimizer final : public Optimizer {
- public:
-  GridSearchOptimizer(const HyperParameterSpace& space, Objective& objective,
-                      ConstraintBudgets budgets,
-                      const HardwareConstraints* apriori_constraints,
-                      OptimizerOptions options,
-                      GridSearchOptions grid_options = {})
-      : Optimizer(space, objective, budgets, apriori_constraints,
-                  std::move(options),
-                  std::make_unique<GridSearchProposer>(space, grid_options)),
-        grid_(static_cast<const GridSearchProposer*>(&proposer())) {}
-
-  /// Total number of grid points.
-  [[nodiscard]] std::size_t grid_size() const noexcept {
-    return grid_->grid_size();
-  }
-  /// True once every grid point has been proposed at least once.
-  [[nodiscard]] bool exhausted() const noexcept {
-    return grid_->visited_all();
-  }
-
- private:
-  const GridSearchProposer* grid_;  ///< owned by the base facade
 };
 
 }  // namespace hp::core

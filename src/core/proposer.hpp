@@ -10,9 +10,11 @@
 // trace/incumbent bookkeeping in RunRecorder (core/run_recorder.hpp).
 // Only the Study mutates a Proposer (lint rule `study-ask-tell`); drivers
 // see proposals as Trials from Study::ask. The four methods of the paper
-// (Rand, Rand-Walk, HW-IECI/HW-CWEI BayesOpt, Grid) are implementations of
-// this interface; plugging in a new search method means writing a Proposer,
-// never touching the loop.
+// (Rand, Rand-Walk, HW-IECI/HW-CWEI BayesOpt) and the Grid baseline are
+// implementations of this interface; core::make_proposer (core/framework.hpp)
+// builds the paper's four by Method. A run is a Proposer handed to an
+// EvaluationEngine; plugging in a new search method means writing a
+// Proposer, never touching the loop.
 
 #include <cstddef>
 #include <cstdint>

@@ -59,7 +59,7 @@ class RunRecorder {
   /// evaluation (trained statuses), updates the incumbent, tallies, and —
   /// live only — emits the per-sample metrics and log events. The engine
   /// calls this before the proposer observes the record, matching the
-  /// event order of the pre-pipeline optimizer.
+  /// event order of the original per-method search loops.
   void observe_sample(EvaluationRecord& record, SampleMode mode);
 
   /// Appends the sample to the trace and — live only — advances the

@@ -119,10 +119,9 @@ TEST(RunOne, DeterministicForIdenticalSpecs) {
   spec.seed = 11;
   const auto a = run_one(pair, models, spec);
   const auto b = run_one(pair, models, spec);
-  ASSERT_EQ(a.run.trace.size(), b.run.trace.size());
-  for (std::size_t i = 0; i < a.run.trace.size(); ++i) {
-    EXPECT_EQ(a.run.trace.records()[i].test_error,
-              b.run.trace.records()[i].test_error);
+  ASSERT_EQ(a.trace.size(), b.trace.size());
+  for (std::size_t i = 0; i < a.trace.size(); ++i) {
+    EXPECT_EQ(a.trace.records()[i].test_error, b.trace.records()[i].test_error);
   }
 }
 
@@ -134,9 +133,10 @@ TEST(RunOne, RespectsModeAndMethod) {
   spec.hyperpower = false;
   spec.max_function_evaluations = 2;
   const auto result = run_one(pair, models, spec);
-  EXPECT_EQ(result.method_name, "Rand-Walk");
-  EXPECT_FALSE(result.hyperpower_mode);
-  EXPECT_EQ(result.run.trace.model_filtered_count(), 0u);
+  EXPECT_EQ(result.trace.function_evaluations(), 2u);
+  // Default mode: no a-priori filtering, no early termination.
+  EXPECT_EQ(result.trace.model_filtered_count(), 0u);
+  EXPECT_EQ(result.trace.early_terminated_count(), 0u);
 }
 
 TEST(Names, DatasetAndPlatformStrings) {

@@ -26,12 +26,9 @@
 #include <string>
 #include <vector>
 
-#include "core/bayes_opt.hpp"
 #include "core/fault_injection.hpp"
+#include "core/framework.hpp"
 #include "core/grid_search.hpp"
-#include "core/optimizer.hpp"
-#include "core/random_search.hpp"
-#include "core/random_walk.hpp"
 #include "core/trace_io.hpp"
 #include "fake_objective.hpp"
 #include "obs/trace.hpp"
@@ -130,25 +127,13 @@ OptimizerOptions golden_options(const std::string& key, std::size_t batch,
   return opt;
 }
 
-std::unique_ptr<Optimizer> make_optimizer(const std::string& key,
-                                          const HyperParameterSpace& space,
-                                          Objective& objective,
-                                          const HardwareConstraints& constraints,
-                                          OptimizerOptions opt) {
-  const ConstraintBudgets budgets = constraints.budgets();
-  if (key == "rand") {
-    return std::make_unique<RandomSearchOptimizer>(space, objective, budgets,
-                                                   &constraints, opt);
-  }
-  if (key == "rand_walk") {
-    return std::make_unique<RandomWalkOptimizer>(space, objective, budgets,
-                                                 &constraints, opt);
-  }
+/// The key's proposer; the four paper methods come from make_proposer.
+std::unique_ptr<Proposer> golden_proposer(const std::string& key,
+                                          const HyperParameterSpace& space) {
   if (key == "grid") {
     GridSearchOptions grid;
     grid.levels_per_dimension = 3;
-    return std::make_unique<GridSearchOptimizer>(space, objective, budgets,
-                                                 &constraints, opt, grid);
+    return std::make_unique<GridSearchProposer>(space, grid);
   }
   BayesOptOptions bo;
   bo.initial_design = 3;
@@ -157,17 +142,17 @@ std::unique_ptr<Optimizer> make_optimizer(const std::string& key,
   // The long scenario stretches the posterior-only stretch between ML
   // kernel fits so most of its ~70 refits take the incremental path.
   if (is_long_key(key)) bo.kernel_refit_interval = 12;
-  std::unique_ptr<AcquisitionFunction> acquisition;
-  if (key.rfind("hw_ieci", 0) == 0) {
-    acquisition = std::make_unique<HwIeciAcquisition>();
+  Method method = Method::Rand;
+  if (key == "rand_walk") {
+    method = Method::RandWalk;
+  } else if (key.rfind("hw_ieci", 0) == 0) {
+    method = Method::HwIeci;
   } else if (key.rfind("hw_cwei", 0) == 0) {
-    acquisition = std::make_unique<HwCweiAcquisition>();
-  } else {
+    method = Method::HwCwei;
+  } else if (key != "rand") {
     ADD_FAILURE() << "unknown method key " << key;
   }
-  return std::make_unique<BayesOptOptimizer>(space, objective, budgets,
-                                             &constraints, opt,
-                                             std::move(acquisition), bo);
+  return make_proposer(method, space, {}, bo);
 }
 
 FaultSpec golden_faults() {
@@ -178,9 +163,8 @@ FaultSpec golden_faults() {
 }
 
 /// One full fresh-stack run; returns the result (objective torn down after).
-Optimizer::Result run_once(const std::string& key, std::size_t batch,
-                           std::size_t threads,
-                           const std::string& journal_path = "") {
+RunResult run_once(const std::string& key, std::size_t batch,
+                   std::size_t threads, const std::string& journal_path = "") {
   const HyperParameterSpace space = fake_space();
   const HardwareConstraints constraints = golden_constraints();
   FakeObjective inner(space);
@@ -188,14 +172,16 @@ Optimizer::Result run_once(const std::string& key, std::size_t batch,
   FaultInjectingObjective faulty(inner, golden_faults());
   OptimizerOptions opt = golden_options(key, batch, threads);
   opt.journal_path = journal_path;
-  auto optimizer = make_optimizer(key, space, faulty, constraints, opt);
-  return optimizer->run();
+  const auto proposer = golden_proposer(key, space);
+  return EvaluationEngine(space, faulty, constraints.budgets(), &constraints,
+                          opt, *proposer)
+      .run();
 }
 
 void check_or_regen(const std::string& key, std::size_t batch) {
   const std::string path = golden_path(key, batch);
   if (regen_mode()) {
-    const Optimizer::Result result = run_once(key, batch, /*threads=*/1);
+    const RunResult result = run_once(key, batch, /*threads=*/1);
     write_file(path, trace_csv(result.trace));
     SUCCEED() << "regenerated " << path;
     return;
@@ -205,7 +191,7 @@ void check_or_regen(const std::string& key, std::size_t batch) {
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     SCOPED_TRACE(key + " batch=" + std::to_string(batch) +
                  " threads=" + std::to_string(threads));
-    const Optimizer::Result result = run_once(key, batch, threads);
+    const RunResult result = run_once(key, batch, threads);
     EXPECT_EQ(trace_csv(result.trace), golden);
   }
 }
@@ -222,7 +208,7 @@ void check_resume(const std::string& key, std::size_t batch,
   const std::string golden = read_file(golden_path(key, batch));
   const std::string full_journal =
       temp_path("golden_" + key + "_b" + std::to_string(batch) + "_full.hpj");
-  const Optimizer::Result full = run_once(key, batch, threads, full_journal);
+  const RunResult full = run_once(key, batch, threads, full_journal);
   ASSERT_EQ(trace_csv(full.trace), golden);
   ASSERT_GT(full.trace.size(), keep);
 
@@ -239,8 +225,11 @@ void check_resume(const std::string& key, std::size_t batch,
   FaultInjectingObjective faulty(inner, golden_faults());
   OptimizerOptions opt = golden_options(key, batch, threads);
   opt.journal_path = resumed_journal;
-  auto optimizer = make_optimizer(key, space, faulty, constraints, opt);
-  const Optimizer::Result resumed = optimizer->resume(crashed.records);
+  const auto proposer = golden_proposer(key, space);
+  const RunResult resumed =
+      EvaluationEngine(space, faulty, constraints.budgets(), &constraints, opt,
+                       *proposer)
+          .resume(crashed.records);
   EXPECT_EQ(trace_csv(resumed.trace), golden);
 
   std::remove(full_journal.c_str());

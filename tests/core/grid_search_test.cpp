@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "core/evaluation_engine.hpp"
 #include "fake_objective.hpp"
 
 namespace hp::core {
@@ -21,20 +22,16 @@ OptimizerOptions fixed_evals(std::size_t n) {
 
 TEST(GridSearch, ValidatesLevels) {
   auto space = fake_space();
-  FakeObjective obj(space);
   GridSearchOptions grid;
   grid.levels_per_dimension = 1;
-  EXPECT_THROW(GridSearchOptimizer(space, obj, {}, nullptr, fixed_evals(4),
-                                   grid),
-               std::invalid_argument);
+  EXPECT_THROW(GridSearchProposer(space, grid), std::invalid_argument);
 }
 
 TEST(GridSearch, GridSizeIsLevelsToTheD) {
   auto space = fake_space();
-  FakeObjective obj(space);
   GridSearchOptions grid;
   grid.levels_per_dimension = 4;
-  GridSearchOptimizer gs(space, obj, {}, nullptr, fixed_evals(1), grid);
+  GridSearchProposer gs(space, grid);
   EXPECT_EQ(gs.grid_size(), 16u);
   EXPECT_EQ(gs.name(), "Grid");
 }
@@ -44,8 +41,9 @@ TEST(GridSearch, VisitsEveryGridPointExactlyOnce) {
   FakeObjective obj(space, 1.0);
   GridSearchOptions grid;
   grid.levels_per_dimension = 3;
-  GridSearchOptimizer gs(space, obj, {}, nullptr, fixed_evals(9), grid);
-  const auto result = gs.run();
+  GridSearchProposer gs(space, grid);
+  const auto result =
+      EvaluationEngine(space, obj, {}, nullptr, fixed_evals(9), gs).run();
   std::set<std::pair<double, double>> visited;
   for (const auto& r : result.trace.records()) {
     visited.insert({r.config[0], r.config[1]});
@@ -65,10 +63,11 @@ TEST(GridSearch, DeterministicAcrossRuns) {
   auto space = fake_space();
   FakeObjective obj1(space), obj2(space);
   GridSearchOptions grid;
-  GridSearchOptimizer a(space, obj1, {}, nullptr, fixed_evals(6), grid);
-  GridSearchOptimizer b(space, obj2, {}, nullptr, fixed_evals(6), grid);
-  const auto ra = a.run();
-  const auto rb = b.run();
+  GridSearchProposer a(space, grid), b(space, grid);
+  const auto ra =
+      EvaluationEngine(space, obj1, {}, nullptr, fixed_evals(6), a).run();
+  const auto rb =
+      EvaluationEngine(space, obj2, {}, nullptr, fixed_evals(6), b).run();
   for (std::size_t i = 0; i < ra.trace.size(); ++i) {
     EXPECT_EQ(ra.trace.records()[i].config, rb.trace.records()[i].config);
   }
@@ -80,8 +79,9 @@ TEST(GridSearch, WrapsAroundWhenBudgetOutlastsGrid) {
   GridSearchOptions grid;
   grid.levels_per_dimension = 2;  // 4 points
   grid.wrap_around = true;        // opt back into the historic revisiting
-  GridSearchOptimizer gs(space, obj, {}, nullptr, fixed_evals(10), grid);
-  const auto result = gs.run();
+  GridSearchProposer gs(space, grid);
+  const auto result =
+      EvaluationEngine(space, obj, {}, nullptr, fixed_evals(10), gs).run();
   EXPECT_EQ(result.trace.size(), 10u);
   // Points 0 and 4 coincide (wrap-around).
   EXPECT_EQ(result.trace.records()[0].config,
@@ -93,8 +93,9 @@ TEST(GridSearch, StopsAtExhaustionByDefault) {
   FakeObjective obj(space, 1.0);
   GridSearchOptions grid;
   grid.levels_per_dimension = 2;  // 4 points
-  GridSearchOptimizer gs(space, obj, {}, nullptr, fixed_evals(10), grid);
-  const auto result = gs.run();
+  GridSearchProposer gs(space, grid);
+  const auto result =
+      EvaluationEngine(space, obj, {}, nullptr, fixed_evals(10), gs).run();
   // Budget allows 10 evaluations, but the grid only has 4 distinct points:
   // the proposer reports exhausted() and the run ends without repeats.
   EXPECT_EQ(result.trace.size(), 4u);
@@ -113,8 +114,8 @@ TEST(GridSearch, FinalShortBatchIsTruncatedNotPadded) {
   grid.levels_per_dimension = 3;  // 9 points
   OptimizerOptions opt = fixed_evals(20);
   opt.batch_size = 4;  // rounds of 4: 4 + 4 + (short) 1
-  GridSearchOptimizer gs(space, obj, {}, nullptr, opt, grid);
-  const auto result = gs.run();
+  GridSearchProposer gs(space, grid);
+  const auto result = EvaluationEngine(space, obj, {}, nullptr, opt, gs).run();
   // Previously the 3rd round was padded to 4 by wrapping the cursor and
   // re-proposing already-visited points; now it is truncated to the one
   // remaining grid point.
@@ -133,8 +134,9 @@ TEST(GridSearch, CoarseGridMissesSharpOptimum) {
   FakeObjective obj(space, 1.0);
   GridSearchOptions grid;
   grid.levels_per_dimension = 2;  // points at 0.25 / 0.75 only
-  GridSearchOptimizer gs(space, obj, {}, nullptr, fixed_evals(4), grid);
-  const auto result = gs.run();
+  GridSearchProposer gs(space, grid);
+  const auto result =
+      EvaluationEngine(space, obj, {}, nullptr, fixed_evals(4), gs).run();
   ASSERT_TRUE(result.best.has_value());
   // Best grid point (0.25, 0.75): error = 0.0025 + 0.5*0.0025 = 0.00375 —
   // bounded away from the true optimum 0.
@@ -153,8 +155,9 @@ TEST(GridSearch, RespectsModelFilter) {
   opt.max_samples = 9;
   GridSearchOptions grid;
   grid.levels_per_dimension = 3;
-  GridSearchOptimizer gs(space, obj, budgets, &constraints, opt, grid);
-  const auto result = gs.run();
+  GridSearchProposer gs(space, grid);
+  const auto result =
+      EvaluationEngine(space, obj, budgets, &constraints, opt, gs).run();
   // Grid levels for a: 1/6 (~17W), 3/6 (50W), 5/6 (83W): 6 of 9 filtered.
   EXPECT_EQ(result.trace.model_filtered_count(), 6u);
   EXPECT_EQ(result.trace.function_evaluations(), 3u);

@@ -1,8 +1,9 @@
-#include "core/optimizer.hpp"
+// Searches run end to end: a Proposer driven by the EvaluationEngine.
 
 #include <gtest/gtest.h>
 
 #include "core/bayes_opt.hpp"
+#include "core/evaluation_engine.hpp"
 #include "core/random_search.hpp"
 #include "core/random_walk.hpp"
 #include "fake_objective.hpp"
@@ -34,8 +35,9 @@ OptimizerOptions fixed_evals(std::size_t n, std::uint64_t seed = 1) {
 TEST(RandomSearch, StopsAtMaxFunctionEvaluations) {
   auto space = fake_space();
   FakeObjective obj(space);
-  RandomSearchOptimizer rand(space, obj, {}, nullptr, fixed_evals(12));
-  const auto result = rand.run();
+  RandomSearchProposer rand(space);
+  const auto result =
+      EvaluationEngine(space, obj, {}, nullptr, fixed_evals(12), rand).run();
   EXPECT_EQ(result.trace.function_evaluations(), 12u);
   EXPECT_EQ(obj.evaluations(), 12u);
   ASSERT_TRUE(result.best.has_value());
@@ -48,8 +50,9 @@ TEST(RandomSearch, StopsAtTimeBudgetAllowingLastSample) {
   OptimizerOptions opt;
   opt.max_runtime_s = 95.0;
   opt.seed = 2;
-  RandomSearchOptimizer rand(space, obj, {}, nullptr, opt);
-  const auto result = rand.run();
+  RandomSearchProposer rand(space);
+  const auto result =
+      EvaluationEngine(space, obj, {}, nullptr, opt, rand).run();
   // Each sample costs 10s + 0.5s proposal overhead: the run crosses 95s
   // mid-sample and finishes it (like the paper's wall-clock runs).
   EXPECT_GE(result.trace.total_time_s(), 95.0);
@@ -64,9 +67,10 @@ TEST(RandomSearch, ModelFilterPreventsObjectiveCalls) {
   opt.max_samples = 50;
   opt.max_function_evaluations = 1000;
   opt.seed = 3;
-  RandomSearchOptimizer rand(space, obj, constraints.budgets(), &constraints,
-                             opt);
-  const auto result = rand.run();
+  RandomSearchProposer rand(space);
+  const auto result = EvaluationEngine(space, obj, constraints.budgets(),
+                                       &constraints, opt, rand)
+                          .run();
   // About 40% of the space is predicted-infeasible: those samples never
   // reach the objective.
   EXPECT_GT(result.trace.model_filtered_count(), 5u);
@@ -87,9 +91,10 @@ TEST(RandomSearch, DefaultModeIgnoresModelsButDetectsViolations) {
   const auto constraints = make_constraints(60.0);
   OptimizerOptions opt = fixed_evals(30, 4);
   opt.use_hardware_models = false;  // "default" exhaustive mode
-  RandomSearchOptimizer rand(space, obj, constraints.budgets(), &constraints,
-                             opt);
-  const auto result = rand.run();
+  RandomSearchProposer rand(space);
+  const auto result = EvaluationEngine(space, obj, constraints.budgets(),
+                                       &constraints, opt, rand)
+                          .run();
   EXPECT_EQ(result.trace.model_filtered_count(), 0u);
   EXPECT_EQ(result.trace.function_evaluations(), 30u);
   // Violations are detected from measured power after full evaluation.
@@ -105,8 +110,9 @@ TEST(RandomSearch, EarlyTerminationShortensDivergingRuns) {
   obj.set_diverge_above(0.5);  // half the b-range diverges
   OptimizerOptions opt = fixed_evals(40, 5);
   opt.use_early_termination = true;
-  RandomSearchOptimizer rand(space, obj, {}, nullptr, opt);
-  const auto result = rand.run();
+  RandomSearchProposer rand(space);
+  const auto result =
+      EvaluationEngine(space, obj, {}, nullptr, opt, rand).run();
   EXPECT_GT(result.trace.early_terminated_count(), 5u);
   for (const auto& r : result.trace.records()) {
     if (r.status == EvaluationStatus::EarlyTerminated) {
@@ -121,8 +127,9 @@ TEST(RandomWalk, CentersProposalsOnIncumbent) {
   FakeObjective obj(space, 1.0);
   RandomWalkOptions walk;
   walk.sigma0 = 0.05;
-  RandomWalkOptimizer rw(space, obj, {}, nullptr, fixed_evals(60, 6), walk);
-  const auto result = rw.run();
+  RandomWalkProposer rw(space, walk);
+  const auto result =
+      EvaluationEngine(space, obj, {}, nullptr, fixed_evals(60, 6), rw).run();
   ASSERT_TRUE(result.best.has_value());
   // With a tight walk the method should have drifted toward the optimum.
   EXPECT_LT(result.best->test_error, 0.05);
@@ -139,12 +146,9 @@ TEST(RandomWalk, CentersProposalsOnIncumbent) {
 
 TEST(RandomWalk, InvalidSigmaThrows) {
   auto space = fake_space();
-  FakeObjective obj(space);
   RandomWalkOptions walk;
   walk.sigma0 = 0.0;
-  EXPECT_THROW(RandomWalkOptimizer(space, obj, {}, nullptr, fixed_evals(5),
-                                   walk),
-               std::invalid_argument);
+  EXPECT_THROW(RandomWalkProposer(space, walk), std::invalid_argument);
 }
 
 TEST(BayesOpt, FindsOptimumFasterThanItsInitialDesign) {
@@ -154,13 +158,13 @@ TEST(BayesOpt, FindsOptimumFasterThanItsInitialDesign) {
   bo.initial_design = 4;
   bo.pool.lattice_points = 150;
   bo.pool.random_points = 50;
-  BayesOptOptimizer opt(space, obj, {}, nullptr, fixed_evals(20, 7),
-                        std::make_unique<ExpectedImprovementAcquisition>(),
-                        bo);
-  const auto result = opt.run();
+  BayesOptProposer ei(space,
+                      std::make_unique<ExpectedImprovementAcquisition>(), bo);
+  const auto result =
+      EvaluationEngine(space, obj, {}, nullptr, fixed_evals(20, 7), ei).run();
   ASSERT_TRUE(result.best.has_value());
   EXPECT_LT(result.best->test_error, 0.02);
-  EXPECT_EQ(opt.name(), "EI");
+  EXPECT_EQ(ei.name(), "EI");
 }
 
 TEST(BayesOpt, HwIeciNeverProposesPredictedViolations) {
@@ -173,9 +177,10 @@ TEST(BayesOpt, HwIeciNeverProposesPredictedViolations) {
   opt.max_function_evaluations = 15;
   opt.max_samples = 500;
   opt.seed = 8;
-  BayesOptOptimizer ieci(space, obj, constraints.budgets(), &constraints, opt,
-                         std::make_unique<HwIeciAcquisition>(), bo);
-  const auto result = ieci.run();
+  BayesOptProposer ieci(space, std::make_unique<HwIeciAcquisition>(), bo);
+  const auto result = EvaluationEngine(space, obj, constraints.budgets(),
+                                       &constraints, opt, ieci)
+                          .run();
   EXPECT_EQ(ieci.name(), "HW-IECI");
   // Once past the random initial design, every *trained* sample was
   // predicted feasible (model-filtered ones never reach the objective).
@@ -191,20 +196,16 @@ TEST(BayesOpt, HwIeciNeverProposesPredictedViolations) {
 
 TEST(BayesOpt, NullAcquisitionThrows) {
   auto space = fake_space();
-  FakeObjective obj(space);
-  EXPECT_THROW(BayesOptOptimizer(space, obj, {}, nullptr, fixed_evals(5),
-                                 nullptr),
-               std::invalid_argument);
+  EXPECT_THROW(BayesOptProposer(space, nullptr), std::invalid_argument);
 }
 
 TEST(BayesOpt, OverheadGrowsWithObservations) {
   auto space = fake_space();
   FakeObjective obj(space, 1.0);
-  BayesOptOptions bo;
-  BayesOptOptimizer opt(space, obj, {}, nullptr, fixed_evals(10, 9),
-                        std::make_unique<ExpectedImprovementAcquisition>(),
-                        bo);
-  const auto result = opt.run();
+  BayesOptProposer ei(space,
+                      std::make_unique<ExpectedImprovementAcquisition>());
+  const auto result =
+      EvaluationEngine(space, obj, {}, nullptr, fixed_evals(10, 9), ei).run();
   const auto& rec = result.trace.records();
   // Timestamps spacing grows: later proposals pay larger model-fit cost.
   const double first_gap = rec[1].timestamp_s - rec[0].timestamp_s;
@@ -221,9 +222,10 @@ TEST(Optimizer, MaxSamplesGuardsAgainstFilterLoops) {
   OptimizerOptions opt;
   opt.max_samples = 25;
   opt.seed = 10;
-  RandomSearchOptimizer rand(space, obj, constraints.budgets(), &constraints,
-                             opt);
-  const auto result = rand.run();
+  RandomSearchProposer rand(space);
+  const auto result = EvaluationEngine(space, obj, constraints.budgets(),
+                                       &constraints, opt, rand)
+                          .run();
   EXPECT_EQ(result.trace.size(), 25u);
   EXPECT_EQ(obj.evaluations(), 0u);
   EXPECT_FALSE(result.best.has_value());
@@ -232,8 +234,10 @@ TEST(Optimizer, MaxSamplesGuardsAgainstFilterLoops) {
 TEST(Optimizer, TimestampsAreMonotone) {
   auto space = fake_space();
   FakeObjective obj(space, 3.0);
-  RandomSearchOptimizer rand(space, obj, {}, nullptr, fixed_evals(15, 11));
-  const auto result = rand.run();
+  RandomSearchProposer rand(space);
+  const auto result =
+      EvaluationEngine(space, obj, {}, nullptr, fixed_evals(15, 11), rand)
+          .run();
   double prev = -1.0;
   for (const auto& r : result.trace.records()) {
     EXPECT_GT(r.timestamp_s, prev);
@@ -244,8 +248,9 @@ TEST(Optimizer, TimestampsAreMonotone) {
 TEST(Optimizer, IndicesAreSequential) {
   auto space = fake_space();
   FakeObjective obj(space);
-  RandomSearchOptimizer rand(space, obj, {}, nullptr, fixed_evals(8, 12));
-  const auto result = rand.run();
+  RandomSearchProposer rand(space);
+  const auto result =
+      EvaluationEngine(space, obj, {}, nullptr, fixed_evals(8, 12), rand).run();
   for (std::size_t i = 0; i < result.trace.size(); ++i) {
     EXPECT_EQ(result.trace.records()[i].index, i);
   }
@@ -254,10 +259,11 @@ TEST(Optimizer, IndicesAreSequential) {
 TEST(Optimizer, DeterministicForSeed) {
   auto space = fake_space();
   FakeObjective obj1(space), obj2(space);
-  RandomSearchOptimizer a(space, obj1, {}, nullptr, fixed_evals(10, 77));
-  RandomSearchOptimizer b(space, obj2, {}, nullptr, fixed_evals(10, 77));
-  const auto ra = a.run();
-  const auto rb = b.run();
+  RandomSearchProposer a(space), b(space);
+  const auto ra =
+      EvaluationEngine(space, obj1, {}, nullptr, fixed_evals(10, 77), a).run();
+  const auto rb =
+      EvaluationEngine(space, obj2, {}, nullptr, fixed_evals(10, 77), b).run();
   ASSERT_EQ(ra.trace.size(), rb.trace.size());
   for (std::size_t i = 0; i < ra.trace.size(); ++i) {
     EXPECT_EQ(ra.trace.records()[i].config, rb.trace.records()[i].config);

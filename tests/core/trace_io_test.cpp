@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "core/evaluation_engine.hpp"
 #include "core/random_search.hpp"
 #include "fake_objective.hpp"
 
@@ -135,8 +136,9 @@ TEST(TraceIo, BatchedRunTraceRoundTrips) {
   opt.batch_size = 4;
   opt.num_threads = 2;
   opt.use_hardware_models = false;
-  RandomSearchOptimizer optimizer(space, objective, budgets, nullptr, opt);
-  const Optimizer::Result result = optimizer.run();
+  RandomSearchProposer rand(space);
+  const RunResult result =
+      EvaluationEngine(space, objective, budgets, nullptr, opt, rand).run();
   const RunTrace& original = result.trace;
 
   std::stringstream buffer;

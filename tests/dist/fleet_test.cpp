@@ -53,27 +53,35 @@ std::vector<std::string> stack_flags() {
           "--seed",          "7"};
 }
 
-core::FrameworkOptions run_options() {
-  core::FrameworkOptions options;
-  options.method = core::Method::HwIeci;
-  options.hyperpower_mode = true;
-  options.optimizer.seed = 7;
-  options.optimizer.max_function_evaluations = 10;
-  options.optimizer.batch_size = 4;
-  options.optimizer.num_threads = 2;
+core::OptimizerOptions run_options() {
+  core::OptimizerOptions options;
+  options.seed = 7;
+  options.max_function_evaluations = 10;
+  options.batch_size = 4;
+  options.num_threads = 2;
   return options;
 }
 
-std::string trace_csv(const core::FrameworkResult& result) {
+/// The trace CSV of a HyperPower HW-IECI run over @p stack.
+std::string run_trace(cli::EvaluationStack& stack,
+                      const core::OptimizerOptions& options) {
+  const auto proposer =
+      core::make_proposer(core::Method::HwIeci, stack.problem.space());
+  const core::RunResult result =
+      core::EvaluationEngine(stack.problem.space(), stack.search_objective(),
+                             stack.budgets,
+                             stack.framework->apriori_constraints(options),
+                             options, *proposer)
+          .run();
   std::ostringstream os;
-  result.run.trace.write_csv(os);
+  result.trace.write_csv(os);
   return os.str();
 }
 
 std::string reference_trace() {
   const ArgvBuilder argv(stack_flags());
   const auto stack = cli::build_evaluation_stack(argv.args());
-  return trace_csv(stack->framework->optimize(run_options()));
+  return run_trace(*stack, run_options());
 }
 
 FleetOptions fleet_options(std::size_t workers,
@@ -107,10 +115,10 @@ FleetRun fleet_run(std::size_t workers, std::vector<std::string> chaos_flags,
   FleetOptions options = fleet_options(workers, std::move(chaos_flags));
   if (tweak != nullptr) options = tweak(std::move(options));
   FleetScheduler scheduler(std::move(options));
-  core::FrameworkOptions framework_options = run_options();
-  framework_options.optimizer.dispatcher = &scheduler;
+  core::OptimizerOptions search_options = run_options();
+  search_options.dispatcher = &scheduler;
   FleetRun run;
-  run.trace = trace_csv(stack->framework->optimize(framework_options));
+  run.trace = run_trace(*stack, search_options);
   scheduler.shutdown();
   run.stats = scheduler.stats();
   return run;

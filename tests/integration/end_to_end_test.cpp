@@ -70,25 +70,28 @@ TEST(NnObjective, FullHyperPowerLoopOnRealTraining) {
 
   core::ConstraintBudgets budgets;
   budgets.power_w = 60.0;  // tight for the tiny space
-  core::HyperPowerFramework fw(problem, objective, budgets);
+  core::HyperPowerFramework fw(problem, budgets);
   hw::GpuSimulator profiling_sim(hw::gtx1070(), 55);
   hw::InferenceProfiler profiler(profiling_sim);
   const std::size_t profiled = fw.train_hardware_models(profiler, 40, 77);
   EXPECT_GE(profiled, 30u);
 
-  core::FrameworkOptions opt;
-  opt.method = core::Method::Rand;
-  opt.hyperpower_mode = true;
-  opt.optimizer.max_function_evaluations = 5;
-  opt.optimizer.max_samples = 200;
-  opt.optimizer.seed = 4;
-  const auto result = fw.optimize(opt);
-  EXPECT_EQ(result.run.trace.function_evaluations(), 5u);
+  core::OptimizerOptions opt;
+  opt.max_function_evaluations = 5;
+  opt.max_samples = 200;
+  opt.seed = 4;
+  const auto proposer =
+      core::make_proposer(core::Method::Rand, problem.space());
+  const auto result =
+      core::EvaluationEngine(problem.space(), objective, budgets,
+                             fw.apriori_constraints(opt), opt, *proposer)
+          .run();
+  EXPECT_EQ(result.trace.function_evaluations(), 5u);
   // Trained samples respect the budget by prediction; measured violations
   // should be rare.
-  EXPECT_LE(result.run.trace.measured_violation_count(), 2u);
-  if (result.run.best) {
-    EXPECT_LE(*result.run.best->measured_power_w, budgets.power_w.value());
+  EXPECT_LE(result.trace.measured_violation_count(), 2u);
+  if (result.best) {
+    EXPECT_LE(*result.best->measured_power_w, budgets.power_w.value());
   }
 }
 

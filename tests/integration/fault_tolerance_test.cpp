@@ -14,11 +14,9 @@
 #include <string>
 #include <vector>
 
-#include "core/acquisition.hpp"
-#include "core/bayes_opt.hpp"
 #include "core/fault_injection.hpp"
+#include "core/framework.hpp"
 #include "core/hw_models.hpp"
-#include "core/optimizer.hpp"
 #include "core/random_search.hpp"
 #include "core/spaces.hpp"
 #include "core/trace_io.hpp"
@@ -90,9 +88,10 @@ TEST(FaultTolerance, FaultyTestbedRunRecordsEveryCandidateExactlyOnce) {
   options.max_function_evaluations = 25;
   options.seed = 5;
   options.retry = fast_retries();
-  RandomSearchOptimizer optimizer(problem.space(), faulty, {}, nullptr,
-                                  options);
-  const Optimizer::Result result = optimizer.run();
+  RandomSearchProposer rand(problem.space());
+  const RunResult result =
+      EvaluationEngine(problem.space(), faulty, {}, nullptr, options, rand)
+          .run();
 
   EXPECT_FALSE(result.aborted);
   EXPECT_EQ(result.trace.function_evaluations(), 25u);
@@ -127,22 +126,21 @@ TEST(FaultTolerance, PersistentlyBrokenEnvironmentAbortsInsteadOfSpinning) {
   options.max_function_evaluations = 50;
   options.seed = 6;
   options.retry.max_consecutive_failed_samples = 5;
-  RandomSearchOptimizer optimizer(space, faulty, {}, nullptr, options);
-  const Optimizer::Result result = optimizer.run();
+  RandomSearchProposer rand(space);
+  const RunResult result =
+      EvaluationEngine(space, faulty, {}, nullptr, options, rand).run();
   EXPECT_TRUE(result.aborted);
   EXPECT_FALSE(result.abort_reason.empty());
   EXPECT_FALSE(result.best.has_value());
   EXPECT_EQ(result.trace.failed_count(), 5u);
 }
 
-/// Runs the optimizer twice: once uninterrupted, once "crashed" after
+/// Runs @p method twice: once uninterrupted, once "crashed" after
 /// @p keep completed records and resumed from the journal. Both traces and
 /// both final journals must be bit-identical.
-template <typename MakeOptimizer>
-void expect_resume_bit_identical(const HyperParameterSpace& space,
-                                 const MakeOptimizer& make_optimizer,
-                                 OptimizerOptions options, std::size_t keep,
-                                 const std::string& tag) {
+void expect_resume_bit_identical(Method method, OptimizerOptions options,
+                                 std::size_t keep, const std::string& tag) {
+  const HyperParameterSpace space = fake_space();
   const std::string full_journal = temp_path("journal_full_" + tag + ".hpj");
   const std::string resumed_journal =
       temp_path("journal_resumed_" + tag + ".hpj");
@@ -155,8 +153,11 @@ void expect_resume_bit_identical(const HyperParameterSpace& space,
   options.journal_path = full_journal;
   FakeObjective reference_inner(space);
   FaultInjectingObjective reference_faulty(reference_inner, faults);
-  auto reference = make_optimizer(reference_faulty, options);
-  const Optimizer::Result uninterrupted = reference->run();
+  const auto reference = make_proposer(method, space);
+  const RunResult uninterrupted =
+      EvaluationEngine(space, reference_faulty, {}, nullptr, options,
+                       *reference)
+          .run();
   ASSERT_GT(uninterrupted.trace.size(), keep);
 
   // "Crash": keep only the first @p keep journaled records.
@@ -164,12 +165,14 @@ void expect_resume_bit_identical(const HyperParameterSpace& space,
   ASSERT_GE(crashed.records.size(), keep);
   crashed.records.resize(keep);
 
-  // Fresh objective + optimizer, resumed from the truncated journal.
+  // Fresh objective + proposer, resumed from the truncated journal.
   options.journal_path = resumed_journal;
   FakeObjective resumed_inner(space);
   FaultInjectingObjective resumed_faulty(resumed_inner, faults);
-  auto fresh = make_optimizer(resumed_faulty, options);
-  const Optimizer::Result resumed = fresh->resume(crashed.records);
+  const auto fresh = make_proposer(method, space);
+  const RunResult resumed =
+      EvaluationEngine(space, resumed_faulty, {}, nullptr, options, *fresh)
+          .resume(crashed.records);
 
   EXPECT_EQ(trace_csv(resumed.trace), trace_csv(uninterrupted.trace))
       << tag << ": resumed trace differs from uninterrupted run";
@@ -194,73 +197,59 @@ OptimizerOptions base_options(std::uint64_t seed, std::size_t evals) {
 }
 
 TEST(FaultTolerance, ResumeIsBitIdentical_RandSequential) {
-  auto space = fake_space();
-  const auto make = [&space](Objective& objective, OptimizerOptions options) {
-    return std::make_unique<RandomSearchOptimizer>(space, objective, ConstraintBudgets{},
-                                                   nullptr, options);
-  };
-  expect_resume_bit_identical(space, make, base_options(11, 20), 7,
+  expect_resume_bit_identical(Method::Rand, base_options(11, 20), 7,
                               "rand_seq");
 }
 
 TEST(FaultTolerance, ResumeIsBitIdentical_RandBatchedParallel) {
-  auto space = fake_space();
-  const auto make = [&space](Objective& objective, OptimizerOptions options) {
-    return std::make_unique<RandomSearchOptimizer>(space, objective, ConstraintBudgets{},
-                                                   nullptr, options);
-  };
   OptimizerOptions options = base_options(12, 20);
   options.batch_size = 4;
   options.num_threads = 4;
   // 6 is mid-round for batch 4: the partial round must be dropped and
   // re-evaluated identically.
-  expect_resume_bit_identical(space, make, options, 6, "rand_batched");
+  expect_resume_bit_identical(Method::Rand, options, 6, "rand_batched");
 }
 
 TEST(FaultTolerance, ResumeIsBitIdentical_HwIeciSequential) {
-  auto space = fake_space();
-  const auto make = [&space](Objective& objective, OptimizerOptions options) {
-    return std::make_unique<BayesOptOptimizer>(
-        space, objective, ConstraintBudgets{}, nullptr, options,
-        std::make_unique<HwIeciAcquisition>());
-  };
-  expect_resume_bit_identical(space, make, base_options(13, 10), 5,
+  expect_resume_bit_identical(Method::HwIeci, base_options(13, 10), 5,
                               "ieci_seq");
 }
 
 TEST(FaultTolerance, ResumeIsBitIdentical_HwIeciBatched) {
-  auto space = fake_space();
-  const auto make = [&space](Objective& objective, OptimizerOptions options) {
-    return std::make_unique<BayesOptOptimizer>(
-        space, objective, ConstraintBudgets{}, nullptr, options,
-        std::make_unique<HwIeciAcquisition>());
-  };
   OptimizerOptions options = base_options(14, 10);
   options.batch_size = 3;
   options.num_threads = 2;
-  expect_resume_bit_identical(space, make, options, 4, "ieci_batched");
+  expect_resume_bit_identical(Method::HwIeci, options, 4, "ieci_batched");
 }
 
 TEST(FaultTolerance, ResumeFromEmptyJournalEqualsFreshRun) {
   auto space = fake_space();
   FakeObjective a_inner(space);
-  RandomSearchOptimizer a(space, a_inner, {}, nullptr, base_options(15, 10));
-  const auto reference = a.run();
+  RandomSearchProposer a(space);
+  const auto reference =
+      EvaluationEngine(space, a_inner, {}, nullptr, base_options(15, 10), a)
+          .run();
   FakeObjective b_inner(space);
-  RandomSearchOptimizer b(space, b_inner, {}, nullptr, base_options(15, 10));
-  const auto resumed = b.resume({});
+  RandomSearchProposer b(space);
+  const auto resumed =
+      EvaluationEngine(space, b_inner, {}, nullptr, base_options(15, 10), b)
+          .resume({});
   EXPECT_EQ(trace_csv(resumed.trace), trace_csv(reference.trace));
 }
 
 TEST(FaultTolerance, ResumeRejectsMismatchedRecords) {
   auto space = fake_space();
   FakeObjective a_inner(space);
-  RandomSearchOptimizer a(space, a_inner, {}, nullptr, base_options(16, 8));
-  const auto reference = a.run();
+  RandomSearchProposer a(space);
+  const auto reference =
+      EvaluationEngine(space, a_inner, {}, nullptr, base_options(16, 8), a)
+          .run();
   // Same method, different seed: the replayed proposals cannot match.
   FakeObjective b_inner(space);
-  RandomSearchOptimizer b(space, b_inner, {}, nullptr, base_options(17, 8));
-  EXPECT_THROW((void)b.resume(reference.trace.records()), std::runtime_error);
+  RandomSearchProposer b(space);
+  EvaluationEngine resumed(space, b_inner, {}, nullptr, base_options(17, 8), b);
+  EXPECT_THROW((void)resumed.resume(reference.trace.records()),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -28,13 +28,31 @@ class FrameworkTest : public ::testing::Test {
     ASSERT_GE(n, 50u);
   }
 
+  /// One online-phase search with @p method over the fixture's objective.
+  RunResult search(const HyperPowerFramework& fw, Method method,
+                   const OptimizerOptions& options) {
+    const auto proposer = make_proposer(method, problem_.space());
+    return EvaluationEngine(problem_.space(), objective_, budgets_,
+                            fw.apriori_constraints(options), options,
+                            *proposer)
+        .run();
+  }
+
+  /// HyperPower mode (a-priori models + early termination) on or off.
+  static OptimizerOptions mode(bool hyperpower) {
+    OptimizerOptions options;
+    options.use_hardware_models = hyperpower;
+    options.use_early_termination = hyperpower;
+    return options;
+  }
+
   BenchmarkProblem problem_;
   testbed::TestbedObjective objective_;
   ConstraintBudgets budgets_;
 };
 
 TEST_F(FrameworkTest, TrainedModelsMeetPaperAccuracy) {
-  HyperPowerFramework fw(problem_, objective_, budgets_);
+  HyperPowerFramework fw(problem_, budgets_);
   train_models(fw);
   ASSERT_TRUE(fw.power_model().has_value());
   EXPECT_LT(fw.power_model()->cv.rmspe, 7.0);  // Table 1: always < 7%
@@ -43,43 +61,43 @@ TEST_F(FrameworkTest, TrainedModelsMeetPaperAccuracy) {
 }
 
 TEST_F(FrameworkTest, HyperPowerModeRequiresModels) {
-  HyperPowerFramework fw(problem_, objective_, budgets_);
-  FrameworkOptions opt;
-  opt.hyperpower_mode = true;
-  opt.optimizer.max_function_evaluations = 2;
-  EXPECT_THROW((void)fw.optimize(opt), std::logic_error);
+  HyperPowerFramework fw(problem_, budgets_);
+  EXPECT_THROW((void)fw.apriori_constraints(mode(true)), std::logic_error);
 }
 
 TEST_F(FrameworkTest, DefaultModeRunsWithoutModels) {
-  HyperPowerFramework fw(problem_, objective_, budgets_);
-  FrameworkOptions opt;
-  opt.method = Method::Rand;
-  opt.hyperpower_mode = false;
-  opt.optimizer.max_function_evaluations = 4;
-  opt.optimizer.seed = 5;
-  const auto result = fw.optimize(opt);
-  EXPECT_EQ(result.run.trace.function_evaluations(), 4u);
-  EXPECT_EQ(result.method_name, "Rand");
-  EXPECT_FALSE(result.hyperpower_mode);
+  HyperPowerFramework fw(problem_, budgets_);
+  OptimizerOptions opt = mode(false);
+  opt.max_function_evaluations = 4;
+  opt.seed = 5;
+  EXPECT_EQ(fw.apriori_constraints(opt), nullptr);
+  const RunResult result = search(fw, Method::Rand, opt);
+  EXPECT_EQ(result.trace.function_evaluations(), 4u);
+  EXPECT_EQ(result.trace.model_filtered_count(), 0u);
+}
+
+TEST_F(FrameworkTest, MakeProposerNamesEveryMethod) {
+  // Journal headers and the CLI's --resume check key on this name.
+  for (Method m : {Method::Rand, Method::RandWalk, Method::HwCwei,
+                   Method::HwIeci}) {
+    EXPECT_EQ(make_proposer(m, problem_.space())->name(), to_string(m));
+  }
 }
 
 TEST_F(FrameworkTest, AllFourMethodsRunInBothModes) {
-  HyperPowerFramework fw(problem_, objective_, budgets_);
+  HyperPowerFramework fw(problem_, budgets_);
   train_models(fw);
   for (Method m : {Method::Rand, Method::RandWalk, Method::HwCwei,
                    Method::HwIeci}) {
     for (bool hyperpower : {false, true}) {
       objective_.virtual_clock().reset();
-      FrameworkOptions opt;
-      opt.method = m;
-      opt.hyperpower_mode = hyperpower;
-      opt.optimizer.max_function_evaluations = 3;
-      opt.optimizer.max_samples = 300;
-      opt.optimizer.seed = 7;
-      const auto result = fw.optimize(opt);
-      EXPECT_EQ(result.run.trace.function_evaluations(), 3u)
+      OptimizerOptions opt = mode(hyperpower);
+      opt.max_function_evaluations = 3;
+      opt.max_samples = 300;
+      opt.seed = 7;
+      const RunResult result = search(fw, m, opt);
+      EXPECT_EQ(result.trace.function_evaluations(), 3u)
           << to_string(m) << " hyperpower=" << hyperpower;
-      EXPECT_EQ(result.method_name, to_string(m));
     }
   }
 }
@@ -87,64 +105,58 @@ TEST_F(FrameworkTest, AllFourMethodsRunInBothModes) {
 TEST_F(FrameworkTest, HyperPowerRandQueriesManyMoreSamplesPerHour) {
   // Table 4's headline effect: within the same time budget, the
   // constraint-aware Rand queries far more samples than exhaustive Rand.
-  HyperPowerFramework fw(problem_, objective_, budgets_);
+  HyperPowerFramework fw(problem_, budgets_);
   train_models(fw);
 
-  FrameworkOptions def;
-  def.method = Method::Rand;
-  def.hyperpower_mode = false;
-  def.optimizer.max_runtime_s = 3600.0;
-  def.optimizer.seed = 11;
+  OptimizerOptions def = mode(false);
+  def.max_runtime_s = 3600.0;
+  def.seed = 11;
   objective_.virtual_clock().reset();
-  const auto default_run = fw.optimize(def);
+  const RunResult default_run = search(fw, Method::Rand, def);
 
-  FrameworkOptions hp_mode = def;
-  hp_mode.hyperpower_mode = true;
+  OptimizerOptions hp_mode = mode(true);
+  hp_mode.max_runtime_s = def.max_runtime_s;
+  hp_mode.seed = def.seed;
   objective_.virtual_clock().reset();
-  const auto hyper_run = fw.optimize(hp_mode);
+  const RunResult hyper_run = search(fw, Method::Rand, hp_mode);
 
-  EXPECT_GT(hyper_run.run.trace.size(), 3 * default_run.run.trace.size());
+  EXPECT_GT(hyper_run.trace.size(), 3 * default_run.trace.size());
   // And the best error found is at least as good (usually much better).
-  const double def_best = default_run.run.best
-                              ? default_run.run.best->test_error
-                              : 1.0;
-  const double hp_best =
-      hyper_run.run.best ? hyper_run.run.best->test_error : 1.0;
+  const double def_best =
+      default_run.best ? default_run.best->test_error : 1.0;
+  const double hp_best = hyper_run.best ? hyper_run.best->test_error : 1.0;
   EXPECT_LE(hp_best, def_best + 0.01);
 }
 
 TEST_F(FrameworkTest, HwIeciRarelyTrainsViolatingSamples) {
-  HyperPowerFramework fw(problem_, objective_, budgets_);
+  HyperPowerFramework fw(problem_, budgets_);
   train_models(fw);
-  FrameworkOptions opt;
-  opt.method = Method::HwIeci;
-  opt.hyperpower_mode = true;
-  opt.optimizer.max_function_evaluations = 15;
-  opt.optimizer.max_samples = 2000;
-  opt.optimizer.seed = 13;
+  OptimizerOptions opt = mode(true);
+  opt.max_function_evaluations = 15;
+  opt.max_samples = 2000;
+  opt.seed = 13;
   objective_.virtual_clock().reset();
-  const auto result = fw.optimize(opt);
+  const RunResult result = search(fw, Method::HwIeci, opt);
   // The paper reports zero constraint-violating samples for HW-IECI; with
   // a ~3% RMSPE model a rare borderline miss is possible but must stay
   // marginal.
-  EXPECT_LE(result.run.trace.measured_violation_count(), 2u);
+  EXPECT_LE(result.trace.measured_violation_count(), 2u);
 }
 
 TEST_F(FrameworkTest, SetHardwareModelsInstallsExternalModels) {
-  HyperPowerFramework fw(problem_, objective_, budgets_);
+  HyperPowerFramework fw(problem_, budgets_);
   EXPECT_FALSE(fw.has_hardware_models());
   fw.set_hardware_models(
       HardwareModel(ModelForm::Linear, linalg::Vector{1.0, 1.0, 1.0, 0.01},
                     30.0, 2.0),
       std::nullopt);
   EXPECT_TRUE(fw.has_hardware_models());
-  FrameworkOptions opt;
-  opt.method = Method::Rand;
-  opt.hyperpower_mode = true;
-  opt.optimizer.max_function_evaluations = 2;
-  opt.optimizer.max_samples = 500;
-  opt.optimizer.seed = 3;
-  EXPECT_NO_THROW((void)fw.optimize(opt));
+  OptimizerOptions opt = mode(true);
+  opt.max_function_evaluations = 2;
+  opt.max_samples = 500;
+  opt.seed = 3;
+  EXPECT_NE(fw.apriori_constraints(opt), nullptr);
+  EXPECT_NO_THROW((void)search(fw, Method::Rand, opt));
 }
 
 TEST_F(FrameworkTest, MethodNamesAndKinds) {
@@ -159,7 +171,7 @@ TEST_F(FrameworkTest, MethodNamesAndKinds) {
 }
 
 TEST_F(FrameworkTest, ProfilingRequiresEnoughSamples) {
-  HyperPowerFramework fw(problem_, objective_, budgets_);
+  HyperPowerFramework fw(problem_, budgets_);
   hw::GpuSimulator sim(hw::gtx1070(), 1);
   hw::InferenceProfiler profiler(sim);
   EXPECT_THROW((void)fw.train_hardware_models(profiler, 5, 1),

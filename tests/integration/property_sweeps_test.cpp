@@ -36,19 +36,23 @@ TEST_P(RunInvariants, HoldOnMnistRuns) {
                                       hw::gtx1070(), opt);
   ConstraintBudgets budgets;
   budgets.power_w = 85.0;
-  HyperPowerFramework framework(problem, objective, budgets);
+  HyperPowerFramework framework(problem, budgets);
   hw::GpuSimulator sim(hw::gtx1070(), param.seed);
   hw::InferenceProfiler profiler(sim);
   (void)framework.train_hardware_models(profiler, 60, 2018);
 
-  FrameworkOptions fo;
-  fo.method = param.method;
-  fo.hyperpower_mode = param.hyperpower;
-  fo.optimizer.max_runtime_s = 1200.0;  // 20 virtual minutes
-  fo.optimizer.max_samples = 5000;
-  fo.optimizer.seed = param.seed;
-  const auto result = framework.optimize(fo);
-  const auto& records = result.run.trace.records();
+  OptimizerOptions oo;
+  oo.use_hardware_models = param.hyperpower;
+  oo.use_early_termination = param.hyperpower;
+  oo.max_runtime_s = 1200.0;  // 20 virtual minutes
+  oo.max_samples = 5000;
+  oo.seed = param.seed;
+  const auto proposer = make_proposer(param.method, problem.space());
+  const RunResult result =
+      EvaluationEngine(problem.space(), objective, budgets,
+                       framework.apriori_constraints(oo), oo, *proposer)
+          .run();
+  const auto& records = result.trace.records();
 
   // Invariant 1: timestamps strictly increase and costs are non-negative.
   double prev_ts = -1.0;
@@ -67,11 +71,11 @@ TEST_P(RunInvariants, HoldOnMnistRuns) {
 
   // Invariant 3: the reported best is feasible, completed, and no worse
   // than any other feasible completed record.
-  if (result.run.best) {
-    EXPECT_TRUE(result.run.best->counts_for_best());
+  if (result.best) {
+    EXPECT_TRUE(result.best->counts_for_best());
     for (const auto& r : records) {
       if (r.counts_for_best()) {
-        EXPECT_LE(result.run.best->test_error, r.test_error);
+        EXPECT_LE(result.best->test_error, r.test_error);
       }
     }
   }
@@ -90,12 +94,12 @@ TEST_P(RunInvariants, HoldOnMnistRuns) {
   // sample (the paper lets the last sample complete).
   if (records.size() >= 2) {
     EXPECT_LT(records[records.size() - 2].timestamp_s,
-              fo.optimizer.max_runtime_s + 1e-9);
+              oo.max_runtime_s + 1e-9);
   }
 
   // Invariant 6: statuses partition the trace.
-  EXPECT_EQ(result.run.trace.function_evaluations() +
-                result.run.trace.model_filtered_count() +
+  EXPECT_EQ(result.trace.function_evaluations() +
+                result.trace.model_filtered_count() +
                 [&] {
                   std::size_t infeasible = 0;
                   for (const auto& r : records) {
@@ -105,7 +109,7 @@ TEST_P(RunInvariants, HoldOnMnistRuns) {
                   }
                   return infeasible;
                 }(),
-            result.run.trace.size());
+            result.trace.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -134,26 +138,28 @@ TEST_P(SeedDeterminism, IdenticalRunsForIdenticalSeeds) {
     opt.run_seed = seed;
     testbed::TestbedObjective objective(problem, testbed::mnist_landscape(),
                                         hw::gtx1070(), opt);
-    HyperPowerFramework framework(problem, objective, budgets);
+    HyperPowerFramework framework(problem, budgets);
     hw::GpuSimulator sim(hw::gtx1070(), 5);
     hw::InferenceProfiler profiler(sim);
     (void)framework.train_hardware_models(profiler, 60, 2018);
-    FrameworkOptions fo;
-    fo.method = GetParam();
-    fo.optimizer.max_function_evaluations = 5;
-    fo.optimizer.max_samples = 3000;
-    fo.optimizer.seed = seed;
-    return framework.optimize(fo);
+    OptimizerOptions oo;
+    oo.max_function_evaluations = 5;
+    oo.max_samples = 3000;
+    oo.seed = seed;
+    const auto proposer = make_proposer(GetParam(), problem.space());
+    return EvaluationEngine(problem.space(), objective, budgets,
+                            framework.apriori_constraints(oo), oo, *proposer)
+        .run();
   };
   const auto a = run_once(7);
   const auto b = run_once(7);
-  ASSERT_EQ(a.run.trace.size(), b.run.trace.size());
-  for (std::size_t i = 0; i < a.run.trace.size(); ++i) {
-    EXPECT_EQ(a.run.trace.records()[i].config, b.run.trace.records()[i].config);
-    EXPECT_EQ(a.run.trace.records()[i].test_error,
-              b.run.trace.records()[i].test_error);
-    EXPECT_EQ(a.run.trace.records()[i].timestamp_s,
-              b.run.trace.records()[i].timestamp_s);
+  ASSERT_EQ(a.trace.size(), b.trace.size());
+  for (std::size_t i = 0; i < a.trace.size(); ++i) {
+    EXPECT_EQ(a.trace.records()[i].config, b.trace.records()[i].config);
+    EXPECT_EQ(a.trace.records()[i].test_error,
+              b.trace.records()[i].test_error);
+    EXPECT_EQ(a.trace.records()[i].timestamp_s,
+              b.trace.records()[i].timestamp_s);
   }
 }
 

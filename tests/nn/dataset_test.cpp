@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <utility>
 
 namespace hp::nn {
 namespace {
@@ -47,8 +49,11 @@ TEST(Dataset, GatherOutOfRangeThrows) {
   EXPECT_THROW(ds.gather(idx, batch, labels), std::out_of_range);
 }
 
+// The kind name is a std::string, not a const char*: gtest prints a
+// pointer parameter by address, which would put a per-run address into
+// the discovered test names.
 class SyntheticGenerators
-    : public ::testing::TestWithParam<std::pair<const char*, int>> {
+    : public ::testing::TestWithParam<std::pair<std::string, int>> {
  protected:
   DataSplit make() const {
     const auto opt = small_options();
@@ -141,8 +146,8 @@ TEST_P(SyntheticGenerators, ClassesAreSeparable) {
 
 INSTANTIATE_TEST_SUITE_P(
     Kinds, SyntheticGenerators,
-    ::testing::Values(std::pair<const char*, int>{"mnist", 1},
-                      std::pair<const char*, int>{"cifar", 3}));
+    ::testing::Values(std::pair<std::string, int>{"mnist", 1},
+                      std::pair<std::string, int>{"cifar", 3}));
 
 TEST(SyntheticData, InvalidOptionsThrow) {
   SyntheticDataOptions opt;

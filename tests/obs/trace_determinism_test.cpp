@@ -11,12 +11,9 @@
 #include <sstream>
 #include <string>
 
-#include "core/bayes_opt.hpp"
 #include "core/fault_injection.hpp"
+#include "core/framework.hpp"
 #include "core/grid_search.hpp"
-#include "core/optimizer.hpp"
-#include "core/random_search.hpp"
-#include "core/random_walk.hpp"
 #include "obs/trace.hpp"
 #include "../core/fake_objective.hpp"
 
@@ -56,38 +53,22 @@ HardwareConstraints make_constraints() {
       std::nullopt);
 }
 
-std::unique_ptr<Optimizer> make_optimizer(
-    const std::string& key, const HyperParameterSpace& space,
-    Objective& objective, const HardwareConstraints& constraints,
-    const OptimizerOptions& opt) {
-  const ConstraintBudgets budgets = constraints.budgets();
-  if (key == "rand") {
-    return std::make_unique<RandomSearchOptimizer>(space, objective, budgets,
-                                                   &constraints, opt);
-  }
-  if (key == "rand_walk") {
-    return std::make_unique<RandomWalkOptimizer>(space, objective, budgets,
-                                                 &constraints, opt);
-  }
+std::unique_ptr<Proposer> proposer_for(const std::string& key,
+                                       const HyperParameterSpace& space) {
   if (key == "grid") {
     GridSearchOptions grid;
     grid.levels_per_dimension = 3;
-    return std::make_unique<GridSearchOptimizer>(space, objective, budgets,
-                                                 &constraints, opt, grid);
+    return std::make_unique<GridSearchProposer>(space, grid);
   }
   BayesOptOptions bo;
   bo.initial_design = 3;
   bo.pool.lattice_points = 120;
   bo.pool.random_points = 60;
-  std::unique_ptr<AcquisitionFunction> acquisition;
-  if (key == "hw_ieci") {
-    acquisition = std::make_unique<HwIeciAcquisition>();
-  } else {
-    acquisition = std::make_unique<HwCweiAcquisition>();
-  }
-  return std::make_unique<BayesOptOptimizer>(space, objective, budgets,
-                                             &constraints, opt,
-                                             std::move(acquisition), bo);
+  const Method method = key == "rand"        ? Method::Rand
+                        : key == "rand_walk" ? Method::RandWalk
+                        : key == "hw_ieci"   ? Method::HwIeci
+                                             : Method::HwCwei;
+  return make_proposer(method, space, {}, bo);
 }
 
 /// One fresh-stack faulty run; the scenario mirrors the golden-trace
@@ -118,8 +99,11 @@ std::string run_trace_csv(const std::string& key, std::size_t batch) {
     opt.max_function_evaluations = 12;
     opt.max_samples = 60;
   }
-  auto optimizer = make_optimizer(key, space, faulty, constraints, opt);
-  const Optimizer::Result result = optimizer->run();
+  const auto proposer = proposer_for(key, space);
+  const RunResult result =
+      EvaluationEngine(space, faulty, constraints.budgets(), &constraints, opt,
+                       *proposer)
+          .run();
   std::ostringstream os;
   result.trace.write_csv(os);
   return os.str();

@@ -39,7 +39,7 @@ void expect_same_record(const EvaluationRecord& a, const EvaluationRecord& b,
   EXPECT_EQ(a.index, b.index);
 }
 
-void expect_same_result(const Optimizer::Result& a, const Optimizer::Result& b,
+void expect_same_result(const RunResult& a, const RunResult& b,
                         const std::string& label) {
   ASSERT_EQ(a.trace.size(), b.trace.size()) << label;
   for (std::size_t i = 0; i < a.trace.size(); ++i) {
@@ -65,8 +65,9 @@ TEST(ParallelDeterminismTest, FakeObjectiveBatchedRunIsThreadCountInvariant) {
     opt.batch_size = 5;
     opt.num_threads = threads;
     opt.use_hardware_models = false;
-    RandomSearchOptimizer optimizer(space, objective, budgets, nullptr, opt);
-    return optimizer.run();
+    RandomSearchProposer rand(space);
+    return EvaluationEngine(space, objective, budgets, nullptr, opt, rand)
+        .run();
   };
 
   const auto one = run_with_threads(1);
@@ -91,8 +92,9 @@ TEST(ParallelDeterminismTest, SerialObjectiveFallbackIsThreadCountInvariant) {
     opt.batch_size = 4;
     opt.num_threads = threads;
     opt.use_hardware_models = false;
-    RandomSearchOptimizer optimizer(space, objective, budgets, nullptr, opt);
-    return optimizer.run();
+    RandomSearchProposer rand(space);
+    return EvaluationEngine(space, objective, budgets, nullptr, opt, rand)
+        .run();
   };
 
   expect_same_result(run_with_threads(1), run_with_threads(8), "serial");
@@ -107,28 +109,30 @@ class TestbedDeterminismTest : public ::testing::Test {
 
   /// One full framework run (fresh objective each time: the virtual clock
   /// and sensor streams start from scratch, like a real experiment).
-  Optimizer::Result run(Method method, std::size_t threads) {
+  RunResult run(Method method, std::size_t threads) {
     testbed::TestbedObjective objective(
         problem_, testbed::mnist_landscape(), hw::gtx1070(),
         testbed::calibrated_options("mnist", hw::gtx1070()));
-    HyperPowerFramework fw(problem_, objective, budgets_);
+    HyperPowerFramework fw(problem_, budgets_);
     hw::GpuSimulator sim(hw::gtx1070(), 33);
     hw::InferenceProfiler profiler(sim);
     (void)fw.train_hardware_models(profiler, 60, 21);
 
-    FrameworkOptions opt;
-    opt.method = method;
-    opt.hyperpower_mode = true;
-    opt.optimizer.seed = 7;
-    opt.optimizer.max_function_evaluations = 6;
-    opt.optimizer.max_samples = 400;
-    opt.optimizer.batch_size = 4;
-    opt.optimizer.num_threads = threads;
+    OptimizerOptions opt;
+    opt.seed = 7;
+    opt.max_function_evaluations = 6;
+    opt.max_samples = 400;
+    opt.batch_size = 4;
+    opt.num_threads = threads;
     // Small acquisition pool keeps the two BO methods fast; determinism
     // does not depend on pool size.
-    opt.bo.pool.lattice_points = 120;
-    opt.bo.pool.random_points = 60;
-    return fw.optimize(opt).run;
+    BayesOptOptions bo;
+    bo.pool.lattice_points = 120;
+    bo.pool.random_points = 60;
+    const auto proposer = make_proposer(method, problem_.space(), {}, bo);
+    return EvaluationEngine(problem_.space(), objective, budgets_,
+                            fw.apriori_constraints(opt), opt, *proposer)
+        .run();
   }
 
   BenchmarkProblem problem_;

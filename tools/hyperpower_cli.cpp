@@ -409,28 +409,27 @@ int cmd_optimize(const cli::Args& args) {
   core::HyperPowerFramework& framework = *stack->framework;
   const cli::EvaluationPolicy policy = cli::evaluation_policy(args);
 
-  core::FrameworkOptions options;
-  options.method = method_by_name(args.get_or("method", "hw-ieci"));
-  options.hyperpower_mode = stack->hyperpower_mode;
-  options.optimizer.seed = policy.seed;
-  options.optimizer.retry = policy.retry;
+  const core::Method method = method_by_name(args.get_or("method", "hw-ieci"));
+  core::OptimizerOptions options;
+  options.use_hardware_models = stack->hyperpower_mode;
+  options.use_early_termination = policy.use_early_termination;
+  options.seed = policy.seed;
+  options.retry = policy.retry;
   if (const auto hours = args.get_double("hours")) {
-    options.optimizer.max_runtime_s = *hours * 3600.0;
+    options.max_runtime_s = *hours * 3600.0;
   }
   if (const auto evals = args.get_int("evals")) {
-    options.optimizer.max_function_evaluations =
-        static_cast<std::size_t>(*evals);
+    options.max_function_evaluations = static_cast<std::size_t>(*evals);
   }
   if (!args.has("hours") && !args.has("evals")) {
-    options.optimizer.max_function_evaluations = 20;
+    options.max_function_evaluations = 20;
   }
-  options.optimizer.batch_size = args.get_uint_or("batch", 1);
-  options.optimizer.num_threads =
-      args.get_uint_or("threads", options.optimizer.batch_size);
+  options.batch_size = args.get_uint_or("batch", 1);
+  options.num_threads = args.get_uint_or("threads", options.batch_size);
   if (const auto journal = args.get("journal")) {
-    options.optimizer.journal_path = *journal;
+    options.journal_path = *journal;
   }
-  if (args.has("resume") && options.optimizer.journal_path.empty()) {
+  if (args.has("resume") && options.journal_path.empty()) {
     throw std::invalid_argument("--resume requires --journal PATH");
   }
 
@@ -449,7 +448,7 @@ int cmd_optimize(const cli::Args& args) {
   std::unique_ptr<dist::FleetScheduler> fleet;
   const std::size_t workers = args.get_uint_or("workers", 0);
   if (workers > 0) {
-    if (options.optimizer.batch_size <= 1) {
+    if (options.batch_size <= 1) {
       throw std::invalid_argument(
           "--workers requires --batch > 1 (fleet mode dispatches whole "
           "rounds)");
@@ -466,7 +465,7 @@ int cmd_optimize(const cli::Args& args) {
     // Requeue backoff burns real seconds (never the simulated clock), so
     // keep it short: lost jobs should retry promptly.
     fleet_options.dispatch_retry.backoff_initial_s = 0.05;
-    fleet_options.run_seed = options.optimizer.seed;
+    fleet_options.run_seed = options.seed;
     // Workers rebuild the evaluation stack from the exact flag values this
     // process parsed — forward them verbatim.
     for (const std::string& flag : cli::evaluation_stack_flags()) {
@@ -481,7 +480,7 @@ int cmd_optimize(const cli::Args& args) {
     fleet_options.supervisor.worker_args.push_back("--heartbeat-interval");
     fleet_options.supervisor.worker_args.push_back(heartbeat_text);
     fleet = std::make_unique<dist::FleetScheduler>(std::move(fleet_options));
-    options.optimizer.dispatcher = fleet.get();
+    options.dispatcher = fleet.get();
   }
 
   // Live progress line: on by default when stderr is a terminal, forced by
@@ -500,21 +499,26 @@ int cmd_optimize(const cli::Args& args) {
   std::optional<core::JournalLoadResult> journal;
   if (args.has("resume")) {
     try {
-      journal = core::EvalJournal::load(options.optimizer.journal_path);
+      journal = core::EvalJournal::load(options.journal_path);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "warning: cannot resume from %s (%s); "
                    "starting a fresh run\n",
-                   options.optimizer.journal_path.c_str(), e.what());
+                   options.journal_path.c_str(), e.what());
     }
   }
-  core::FrameworkResult result;
+  const std::unique_ptr<core::Proposer> proposer =
+      core::make_proposer(method, stack->problem.space());
+  core::EvaluationEngine engine(stack->problem.space(),
+                                stack->search_objective(), stack->budgets,
+                                framework.apriori_constraints(options),
+                                options, *proposer);
+  core::RunResult result;
   if (journal) {
-    std::unique_ptr<core::Optimizer> optimizer = framework.make_optimizer(options);
-    if (journal->header.method != optimizer->name() ||
-        journal->header.seed != options.optimizer.seed ||
-        journal->header.batch_size != options.optimizer.batch_size) {
+    if (journal->header.method != proposer->name() ||
+        journal->header.seed != options.seed ||
+        journal->header.batch_size != options.batch_size) {
       throw std::invalid_argument(
-          "--resume: journal " + options.optimizer.journal_path +
+          "--resume: journal " + options.journal_path +
           " was written by " + journal->header.method + "/seed " +
           std::to_string(journal->header.seed) + "/batch " +
           std::to_string(journal->header.batch_size) +
@@ -524,26 +528,24 @@ int cmd_optimize(const cli::Args& args) {
       std::fprintf(stderr,
                    "note: journal %s is finalized (study state \"%s\", "
                    "%zu records); resuming past its recorded end\n",
-                   options.optimizer.journal_path.c_str(),
+                   options.journal_path.c_str(),
                    journal->study_state.c_str(), journal->records.size());
     }
-    result.method_name = optimizer->name();
-    result.hyperpower_mode = options.hyperpower_mode;
-    result.run = optimizer->resume(journal->records);
+    result = engine.resume(journal->records);
   } else {
-    result = framework.optimize(options);
+    result = engine.run();
   }
   if (progress) {
     progress->finish();
     obs::logger().remove_sink(progress);
   }
 
-  const auto& trace = result.run.trace;
+  const auto& trace = result.trace;
   const std::size_t infeasible =
       trace.size() - trace.completed_count() - trace.model_filtered_count() -
       trace.early_terminated_count() - trace.failed_count();
-  std::printf("\n%s [%s] run summary\n", result.method_name.c_str(),
-              result.hyperpower_mode ? "HyperPower" : "default");
+  std::printf("\n%s [%s] run summary\n", proposer->name().c_str(),
+              stack->hyperpower_mode ? "HyperPower" : "default");
   std::printf("  %-24s %zu\n", "samples queried", trace.size());
   std::printf("  %-24s %zu\n", "function evaluations",
               trace.function_evaluations());
@@ -581,11 +583,11 @@ int cmd_optimize(const cli::Args& args) {
     std::printf("  %-24s %zu\n", "fleet worker respawns", fs.respawns);
     std::printf("  %-24s %zu\n", "fleet garbage frames", fs.garbage_frames);
   }
-  if (result.run.aborted) {
-    std::printf("run aborted: %s\n", result.run.abort_reason.c_str());
+  if (result.aborted) {
+    std::printf("run aborted: %s\n", result.abort_reason.c_str());
   }
-  if (result.run.best) {
-    const auto& best = *result.run.best;
+  if (result.best) {
+    const auto& best = *result.best;
     std::printf("  %-24s %.2f%%\n", "best feasible error",
                 best.test_error * 100.0);
     if (best.measured_power_w) {
@@ -634,8 +636,8 @@ int cmd_optimize(const cli::Args& args) {
     trace.write_csv(os);
     std::printf("wrote %s\n", path->c_str());
   }
-  if (result.run.aborted) return 3;
-  return result.run.best ? 0 : 1;
+  if (result.aborted) return 3;
+  return result.best ? 0 : 1;
 }
 
 int cmd_pareto(const cli::Args& args) {
@@ -643,13 +645,17 @@ int cmd_pareto(const cli::Args& args) {
   ObsScope obs_scope(args);
   const std::unique_ptr<cli::EvaluationStack> stack =
       cli::build_evaluation_stack(args);
-  core::FrameworkOptions options;
-  options.method = core::Method::HwIeci;
-  options.hyperpower_mode = stack->budgets.any();
-  options.optimizer.max_runtime_s = args.get_double_or("hours", 2.0) * 3600.0;
-  options.optimizer.seed = cli::evaluation_policy(args).seed;
-  const auto result = stack->framework->optimize(options);
-  const auto front = core::pareto_front(result.run.trace);
+  core::OptimizerOptions options;
+  options.use_hardware_models = stack->budgets.any();
+  options.use_early_termination = stack->budgets.any();
+  options.max_runtime_s = args.get_double_or("hours", 2.0) * 3600.0;
+  options.seed = cli::evaluation_policy(args).seed;
+  const std::unique_ptr<core::Proposer> proposer =
+      core::make_proposer(core::Method::HwIeci, stack->problem.space());
+  core::EvaluationEngine engine(
+      stack->problem.space(), stack->search_objective(), stack->budgets,
+      stack->framework->apriori_constraints(options), options, *proposer);
+  const auto front = core::pareto_front(engine.run().trace);
   std::printf("error/power Pareto front (%zu points):\n", front.size());
   std::printf("%10s %10s  architecture\n", "power [W]", "error");
   for (const auto& p : front) {

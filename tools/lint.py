@@ -93,7 +93,8 @@ RANDOMNESS = [
      "std::random_device breaks run reproducibility; derive streams from "
      "stats::Rng / stats::stream_seed instead"),
     # rand() is nullary and srand() unary, which keeps locals that happen
-    # to be named `rand` (e.g. a RandomSearchOptimizer) out of scope.
+    # to be named `rand` (e.g. `RandomSearchProposer rand(space)`) out of
+    # scope.
     (re.compile(r"(?<![\w:.])rand\s*\(\s*\)|(?<![\w:.])srand\s*\("),
      "C rand()/srand() is non-deterministic across platforms; use "
      "stats::Rng"),

@@ -3,7 +3,7 @@
 #   1. default build + full ctest suite
 #   2. ThreadSanitizer rebuild of the concurrency + resilience suites
 #      (test_parallel, test_obs, test_resilience, test_integration), run
-#      directly
+#      directly, plus the thread-pool micro-bench BM_ParallelForSpin
 #   3. AddressSanitizer (+LeakSanitizer) rebuild, full ctest suite
 #   4. fault-injection phase: the fault suites re-run from the ASan build
 #      (all fault schedules are fixed-seed, so a failure here is a
@@ -72,9 +72,10 @@ ctest --test-dir build --output-on-failure -j "$jobs"
 echo "== tier 1: ThreadSanitizer pass (parallel/obs/resilience suites) =="
 probe_sanitizer "ThreadSanitizer" thread
 cmake -B build-tsan -S . -DHYPERPOWER_SANITIZE=thread \
-  -DHYPERPOWER_BUILD_BENCHES=OFF -DHYPERPOWER_BUILD_EXAMPLES=OFF >/dev/null
+  -DHYPERPOWER_BUILD_BENCHES=ON -DHYPERPOWER_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-tsan -j "$jobs" \
-  --target test_parallel test_obs test_resilience test_integration
+  --target test_parallel test_obs test_resilience test_integration \
+  bench_micro_parallel
 # Run the freshly built binaries directly. ctest-ing build-tsan would run
 # discovery over every registered test target, most of which this phase
 # deliberately never builds. test_resilience and test_integration join the
@@ -84,6 +85,11 @@ cmake --build build-tsan -j "$jobs" \
 ./build-tsan/tests/test_obs
 ./build-tsan/tests/test_resilience
 ./build-tsan/tests/test_integration
+# Benches are code too: BM_ParallelForSpin drives the pool from every
+# thread at once. A short run is enough for TSan to see any shared write;
+# its BENCH_micro_parallel.json lands in the temp dir removed on exit.
+HYPERPOWER_BENCH_DIR="$probe_dir" ./build-tsan/bench/bench_micro_parallel \
+  --benchmark_filter=BM_ParallelForSpin --benchmark_min_time=0.01
 
 echo "== tier 1: AddressSanitizer (+LSan) pass (full suite) =="
 ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1:${ASAN_OPTIONS:-}" \
