@@ -5,13 +5,47 @@
 #include <fstream>
 #include <stdexcept>
 
+#include <sched.h>
+
 #include "obs/metrics.hpp"
 
 namespace hp::bench {
 
+/// The commit the benches were built from: "<sha>", "<sha>-dirty" or
+/// "unknown". Defined in a source file generated at build time by
+/// common/git_sha.cmake.
+const char* git_sha();
+
+namespace {
+
+/// CPUs this process may run on (what `nproc` prints); 0 if unknown.
+long long usable_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  (void)sched_getaffinity(0, sizeof(set), &set);
+  return CPU_COUNT(&set);
+}
+
+}  // namespace
+
+obs::JsonValue BenchReport::provenance() {
+  obs::JsonValue out = obs::JsonValue::object();
+  out["nproc"] = usable_cpus();
+#if defined(__clang__)
+  out["compiler"] = "clang " __clang_version__;
+#else
+  out["compiler"] = "gcc " __VERSION__;
+#endif
+  out["build_type"] = HYPERPOWER_BUILD_TYPE;
+  out["contracts"] = HP_CONTRACTS;
+  out["git_sha"] = git_sha();
+  return out;
+}
+
 BenchReport::BenchReport(std::string name) : name_(std::move(name)) {
   root_ = obs::JsonValue::object();
   root_["bench"] = name_;
+  root_["provenance"] = provenance();
 }
 
 BenchReport::~BenchReport() {

@@ -1,7 +1,8 @@
 #pragma once
 // Machine-readable result files for the bench binaries: every bench writes
 // BENCH_<name>.json next to its stdout report, so CI and scripts can diff
-// runs without scraping the text tables. The output directory is
+// runs without scraping the text tables. Every file records the machine,
+// compiler, build type and commit it was measured with. The output directory is
 // $HYPERPOWER_BENCH_DIR when set, else the current directory.
 
 #include <string>
@@ -43,6 +44,11 @@ class BenchReport {
 
   /// $HYPERPOWER_BENCH_DIR or ".".
   [[nodiscard]] static std::string output_dir();
+
+  /// Where the bench ran, written into every file as "provenance":
+  /// {nproc, compiler, build_type, contracts, git_sha}. tools/bench_compare.py
+  /// warns when a baseline's provenance differs from the current run's.
+  [[nodiscard]] static obs::JsonValue provenance();
 
  private:
   std::string name_;

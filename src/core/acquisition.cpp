@@ -128,10 +128,12 @@ double hw_cwei_score(const std::vector<double>& unit_x,
   return prob * ei_term(unit_x, ctx, scratch.objective);
 }
 
-/// Contract shared by every score_block implementation.
-void check_block_shapes(std::span<const std::vector<double>> unit_xs,
-                        std::span<const Configuration> configs,
-                        std::span<double> out) {
+/// Contract shared by every score_block implementation. [[maybe_unused]]:
+/// with HP_CONTRACTS=0 the check compiles out.
+void check_block_shapes(
+    [[maybe_unused]] std::span<const std::vector<double>> unit_xs,
+    [[maybe_unused]] std::span<const Configuration> configs,
+    [[maybe_unused]] std::span<double> out) {
   HP_REQUIRE(unit_xs.size() == configs.size() && unit_xs.size() == out.size(),
              "score_block: unit_xs/configs/out sizes must match");
 }

@@ -5,6 +5,7 @@
 #include <numbers>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "core/contracts.hpp"
 #include "obs/obs.hpp"
@@ -129,8 +130,7 @@ void GaussianProcess::refit(RefitKind kind) {
 }
 
 void GaussianProcess::refit_full() {
-  k_ = kernel_matrix(*kernel_, x_);
-  linalg::Matrix noisy = k_;
+  linalg::Matrix noisy = kernel_matrix(*kernel_, x_);
   noisy.add_to_diagonal(noise_variance_);
   obs::ScopedTimer chol_timer("gp.cholesky", &GpMetrics::get().cholesky_s);
   auto chol = linalg::Cholesky::with_jitter(std::move(noisy));
@@ -145,52 +145,40 @@ void GaussianProcess::refit_full() {
 }
 
 bool GaussianProcess::try_extend_factor() {
-  const std::size_t old_n = k_.rows();
+  const std::size_t old_n = chol_->size();
   const std::size_t new_n = x_.rows();
   HP_ASSERT(new_n > old_n && old_n > 0,
             "try_extend_factor: classify_refit guarantees strict growth");
-  // Grow the cached noise-free Gram: only the new rows/columns are kernel
-  // evaluations, the old block is a copy. The (row j, row i) argument order
-  // for j < i matches kernel_matrix() exactly.
-  linalg::Matrix grown(new_n, new_n);
-  for (std::size_t r = 0; r < old_n; ++r) {
-    for (std::size_t c = 0; c < old_n; ++c) grown(r, c) = k_(r, c);
-  }
+  // Only the appended rows need kernel evaluations. The (row j, row i)
+  // argument order for j < i matches kernel_matrix() exactly.
+  std::vector<linalg::Vector> rows;
+  rows.reserve(new_n - old_n);
   for (std::size_t i = old_n; i < new_n; ++i) {
     const std::span<const double> xi = x_.row_span(i);
+    linalg::Vector& row = rows.emplace_back(i);
     for (std::size_t j = 0; j < i; ++j) {
-      const double v = kernel_->eval(x_.row_span(j), xi);
-      grown(i, j) = v;
-      grown(j, i) = v;
+      row[j] = kernel_->eval(x_.row_span(j), xi);
     }
-    grown(i, i) = kernel_->diagonal_value();
   }
   // Border the factor one row at a time. The noisy diagonal entry is formed
   // exactly as add_to_diagonal() would: gram diagonal + noise, one addition.
   obs::ScopedTimer chol_timer("gp.cholesky", &GpMetrics::get().cholesky_s);
-  linalg::Cholesky chol = *chol_;
-  for (std::size_t i = old_n; i < new_n; ++i) {
-    linalg::Vector row(i);
-    for (std::size_t j = 0; j < i; ++j) row[j] = grown(i, j);
-    auto next = chol.extended(row, grown(i, i) + noise_variance_);
+  const double diag = kernel_->diagonal_value() + noise_variance_;
+  std::optional<linalg::Cholesky> grown;
+  for (const linalg::Vector& row : rows) {
+    auto next = (grown ? *grown : *chol_).extended(row, diag);
     if (!next.has_value()) return false;
-    chol = std::move(*next);
+    grown = std::move(next);
   }
-  chol_ = std::move(chol);
-  k_ = std::move(grown);
+  chol_ = std::move(grown);
   return true;
 }
 
 void GaussianProcess::shrink_factor() {
   const std::size_t n = x_.rows();
-  HP_ASSERT(n > 0 && n < k_.rows(),
+  HP_ASSERT(n > 0 && n < chol_->size(),
             "shrink_factor: classify_refit guarantees strict shrinkage");
   chol_ = chol_->truncated(n);
-  linalg::Matrix shrunk(n, n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < n; ++c) shrunk(r, c) = k_(r, c);
-  }
-  k_ = std::move(shrunk);
 }
 
 Prediction GaussianProcess::predict(const linalg::Vector& x_star) const {
@@ -222,17 +210,23 @@ Prediction GaussianProcess::predict(std::span<const double> x_star,
   return p;
 }
 
+double lml_of_factor(const linalg::Vector& centered,
+                     const linalg::Vector& alpha,
+                     const linalg::Cholesky& chol) {
+  const auto n = static_cast<double>(centered.size());
+  const double data_fit = -0.5 * linalg::dot(centered, alpha);
+  const double complexity = -0.5 * chol.log_det();
+  const double norm = -0.5 * n * std::log(2.0 * std::numbers::pi);
+  return data_fit + complexity + norm;
+}
+
 double GaussianProcess::log_marginal_likelihood() const {
   if (!fitted()) {
     throw std::logic_error("GaussianProcess::log_marginal_likelihood before fit");
   }
-  const auto n = static_cast<double>(y_.size());
   linalg::Vector centered = y_;
   for (std::size_t i = 0; i < centered.size(); ++i) centered[i] -= y_mean_;
-  const double data_fit = -0.5 * linalg::dot(centered, alpha_);
-  const double complexity = -0.5 * chol_->log_det();
-  const double norm = -0.5 * n * std::log(2.0 * std::numbers::pi);
-  return data_fit + complexity + norm;
+  return lml_of_factor(centered, alpha_, *chol_);
 }
 
 linalg::Vector GaussianProcess::loo_means() const {
@@ -254,7 +248,7 @@ std::size_t GaussianProcess::num_observations() const noexcept {
 
 void GaussianProcess::set_kernel(const Kernel& kernel) {
   kernel_ = kernel.clone();
-  cache_valid_ = false;  // every cached Gram entry depends on the kernel
+  cache_valid_ = false;  // every factor entry depends on the kernel
   if (x_.rows() > 0) refit(RefitKind::kFull);
 }
 

@@ -62,6 +62,16 @@ struct PredictScratch {
   std::vector<double> v;
 };
 
+/// Log marginal likelihood of centred targets @p centered under a GP whose
+/// noisy covariance K_y = L L^T has factor @p chol, given
+/// @p alpha = K_y^{-1} centered:
+///   -0.5 centered^T alpha - 0.5 log|K_y| - (n / 2) log(2 pi).
+/// The one formula behind GaussianProcess::log_marginal_likelihood() and
+/// the probes of fit_kernel_by_ml().
+[[nodiscard]] double lml_of_factor(const linalg::Vector& centered,
+                                   const linalg::Vector& alpha,
+                                   const linalg::Cholesky& chol);
+
 /// Exact GP regressor. Construct once per dataset (refits on every
 /// observation update, matching the sequential BO loop sizes of tens to a
 /// few hundred points).
@@ -79,9 +89,10 @@ class GaussianProcess {
   ///
   /// When @p x relates to the previously fitted inputs by bitwise row
   /// comparison — identical, extended by appended rows, or truncated to a
-  /// leading prefix — and the cached factor is jitter-free, the refit reuses
-  /// the cached Gram matrix and updates the Cholesky factor incrementally
-  /// (O(n^2) instead of O(n^3)) with bit-identical results. The constant-liar
+  /// leading prefix — and the cached factor is jitter-free, the refit
+  /// evaluates only the kernel rows of appended inputs and updates the
+  /// Cholesky factor incrementally (O(n^2) instead of O(n^3)) with
+  /// bit-identical results. The constant-liar
   /// push/pop and the one-observation-per-round BO loop hit these paths on
   /// every call; last_refit_kind() reports which path ran.
   void fit(linalg::Matrix x, linalg::Vector y);
@@ -119,10 +130,10 @@ class GaussianProcess {
   [[nodiscard]] double target_mean() const noexcept { return y_mean_; }
 
   /// Replaces the kernel (e.g. after hyper-parameter fitting) and refits if
-  /// data is present. Invalidates the Gram cache: the next refit is full.
+  /// data is present. Invalidates the cached factor: the refit is full.
   void set_kernel(const Kernel& kernel);
   /// Replaces the noise variance and refits if data is present.
-  /// Invalidates the Gram cache: the next refit is full.
+  /// Invalidates the cached factor: the refit is full.
   void set_noise_variance(double noise_variance);
 
  private:
@@ -132,13 +143,13 @@ class GaussianProcess {
   [[nodiscard]] RefitKind classify_refit(const linalg::Matrix& x) const;
 
   void refit(RefitKind kind);
-  /// Builds the Gram cache + factor from scratch (the pre-incremental path).
+  /// Builds the Gram matrix and its factor from scratch.
   void refit_full();
-  /// Grows the cached Gram/factor by the appended rows of x_; returns false
+  /// Grows the cached factor by the appended rows of x_; returns false
   /// when a bordered pivot fails (caller falls back to refit_full(), whose
   /// jitter retry reproduces the historical behaviour).
   [[nodiscard]] bool try_extend_factor();
-  /// Shrinks the cached Gram/factor to the leading x_.rows() block.
+  /// Shrinks the cached factor to the leading x_.rows() block.
   void shrink_factor();
 
   std::unique_ptr<Kernel> kernel_;
@@ -148,8 +159,7 @@ class GaussianProcess {
   double y_mean_ = 0.0;      ///< constant mean function value
   std::optional<linalg::Cholesky> chol_;
   linalg::Vector alpha_;     ///< K_y^{-1} (y - mean)
-  linalg::Matrix k_;         ///< cached noise-free Gram matrix for x_
-  bool cache_valid_ = false;  ///< k_/chol_ match x_ under current kernel/noise
+  bool cache_valid_ = false;  ///< chol_ matches x_ under current kernel/noise
   RefitKind last_refit_kind_ = RefitKind::kNone;
 };
 

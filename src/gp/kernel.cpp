@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "core/contracts.hpp"
 
@@ -53,19 +54,15 @@ double ard_distance(const linalg::Vector& a, const linalg::Vector& b,
                       std::span<const double>(b.raw()), params);
 }
 
-SquaredExponentialKernel::SquaredExponentialKernel(KernelParams params)
-    : params_(std::move(params)) {
+Kernel::Kernel(KernelParams params) : params_(std::move(params)) {
   params_.validate();
 }
 
-double SquaredExponentialKernel::eval(std::span<const double> a,
-                                      std::span<const double> b) const {
-  const double r = ard_distance(a, b, params_);
-  return params_.signal_variance * std::exp(-0.5 * r * r);
-}
+SquaredExponentialKernel::SquaredExponentialKernel(KernelParams params)
+    : Kernel(std::move(params)) {}
 
-double SquaredExponentialKernel::diagonal_value() const {
-  return params_.signal_variance;
+double SquaredExponentialKernel::at_distance(double r) const {
+  return params().signal_variance * std::exp(-0.5 * r * r);
 }
 
 std::unique_ptr<Kernel> SquaredExponentialKernel::with_params(
@@ -78,19 +75,11 @@ std::unique_ptr<Kernel> SquaredExponentialKernel::clone() const {
 }
 
 Matern32Kernel::Matern32Kernel(KernelParams params)
-    : params_(std::move(params)) {
-  params_.validate();
-}
+    : Kernel(std::move(params)) {}
 
-double Matern32Kernel::eval(std::span<const double> a,
-                            std::span<const double> b) const {
-  const double r = ard_distance(a, b, params_);
+double Matern32Kernel::at_distance(double r) const {
   const double s = std::sqrt(3.0) * r;
-  return params_.signal_variance * (1.0 + s) * std::exp(-s);
-}
-
-double Matern32Kernel::diagonal_value() const {
-  return params_.signal_variance;
+  return params().signal_variance * (1.0 + s) * std::exp(-s);
 }
 
 std::unique_ptr<Kernel> Matern32Kernel::with_params(KernelParams params) const {
@@ -102,19 +91,11 @@ std::unique_ptr<Kernel> Matern32Kernel::clone() const {
 }
 
 Matern52Kernel::Matern52Kernel(KernelParams params)
-    : params_(std::move(params)) {
-  params_.validate();
-}
+    : Kernel(std::move(params)) {}
 
-double Matern52Kernel::eval(std::span<const double> a,
-                            std::span<const double> b) const {
-  const double r = ard_distance(a, b, params_);
+double Matern52Kernel::at_distance(double r) const {
   const double s = std::sqrt(5.0) * r;
-  return params_.signal_variance * (1.0 + s + s * s / 3.0) * std::exp(-s);
-}
-
-double Matern52Kernel::diagonal_value() const {
-  return params_.signal_variance;
+  return params().signal_variance * (1.0 + s + s * s / 3.0) * std::exp(-s);
 }
 
 std::unique_ptr<Kernel> Matern52Kernel::with_params(KernelParams params) const {

@@ -28,85 +28,8 @@ struct KernelParams {
   [[nodiscard]] double length_scale(std::size_t d) const;
 };
 
-/// Abstract stationary covariance function k(x, x').
-class Kernel {
- public:
-  virtual ~Kernel() = default;
-
-  /// Covariance between two points given as raw coordinate spans — the
-  /// allocation-free core used by the cached/batched Gram assemblers.
-  /// Throws std::invalid_argument on dimension mismatch between the points.
-  [[nodiscard]] virtual double eval(std::span<const double> a,
-                                    std::span<const double> b) const = 0;
-
-  /// Covariance between two points; forwards to eval().
-  [[nodiscard]] double operator()(const linalg::Vector& a,
-                                  const linalg::Vector& b) const {
-    return eval(std::span<const double>(a.raw()),
-                std::span<const double>(b.raw()));
-  }
-
-  /// k(x, x) — for stationary kernels this is the signal variance.
-  [[nodiscard]] virtual double diagonal_value() const = 0;
-
-  [[nodiscard]] virtual std::string name() const = 0;
-  [[nodiscard]] virtual const KernelParams& params() const = 0;
-  /// Clone with different hyper-parameters (same functional form).
-  [[nodiscard]] virtual std::unique_ptr<Kernel> with_params(
-      KernelParams params) const = 0;
-  [[nodiscard]] virtual std::unique_ptr<Kernel> clone() const = 0;
-};
-
-/// k(a,b) = sigma_f^2 * exp(-0.5 * r^2), r^2 = sum ((a_d-b_d)/l_d)^2.
-class SquaredExponentialKernel final : public Kernel {
- public:
-  explicit SquaredExponentialKernel(KernelParams params);
-  [[nodiscard]] double eval(std::span<const double> a,
-                            std::span<const double> b) const override;
-  [[nodiscard]] double diagonal_value() const override;
-  [[nodiscard]] std::string name() const override { return "squared_exponential"; }
-  [[nodiscard]] const KernelParams& params() const override { return params_; }
-  [[nodiscard]] std::unique_ptr<Kernel> with_params(KernelParams params) const override;
-  [[nodiscard]] std::unique_ptr<Kernel> clone() const override;
-
- private:
-  KernelParams params_;
-};
-
-/// Matern nu=3/2: sigma_f^2 * (1 + sqrt(3) r) exp(-sqrt(3) r).
-class Matern32Kernel final : public Kernel {
- public:
-  explicit Matern32Kernel(KernelParams params);
-  [[nodiscard]] double eval(std::span<const double> a,
-                            std::span<const double> b) const override;
-  [[nodiscard]] double diagonal_value() const override;
-  [[nodiscard]] std::string name() const override { return "matern32"; }
-  [[nodiscard]] const KernelParams& params() const override { return params_; }
-  [[nodiscard]] std::unique_ptr<Kernel> with_params(KernelParams params) const override;
-  [[nodiscard]] std::unique_ptr<Kernel> clone() const override;
-
- private:
-  KernelParams params_;
-};
-
-/// Matern nu=5/2 (Spearmint's default):
-/// sigma_f^2 * (1 + sqrt(5) r + 5 r^2 / 3) exp(-sqrt(5) r).
-class Matern52Kernel final : public Kernel {
- public:
-  explicit Matern52Kernel(KernelParams params);
-  [[nodiscard]] double eval(std::span<const double> a,
-                            std::span<const double> b) const override;
-  [[nodiscard]] double diagonal_value() const override;
-  [[nodiscard]] std::string name() const override { return "matern52"; }
-  [[nodiscard]] const KernelParams& params() const override { return params_; }
-  [[nodiscard]] std::unique_ptr<Kernel> with_params(KernelParams params) const override;
-  [[nodiscard]] std::unique_ptr<Kernel> clone() const override;
-
- private:
-  KernelParams params_;
-};
-
-/// Scaled Euclidean distance r used by all ARD kernels above.
+/// Scaled Euclidean distance r used by all ARD kernels below:
+/// r^2 = sum over d, in ascending order, of ((a_d - b_d) / l_d)^2.
 [[nodiscard]] double ard_distance(std::span<const double> a,
                                   std::span<const double> b,
                                   const KernelParams& params);
@@ -115,6 +38,88 @@ class Matern52Kernel final : public Kernel {
 [[nodiscard]] double ard_distance(const linalg::Vector& a,
                                   const linalg::Vector& b,
                                   const KernelParams& params);
+
+/// Abstract stationary ARD covariance function k(x, x') = f(r), where r is
+/// the ard_distance() of the two points. A kernel family supplies only its
+/// formula f (at_distance), so the maximum-likelihood fit can evaluate the
+/// same formula from cached distances.
+class Kernel {
+ public:
+  virtual ~Kernel() = default;
+
+  /// Covariance between two points given as raw coordinate spans — the
+  /// allocation-free core used by the cached/batched Gram assemblers.
+  /// Throws std::invalid_argument on dimension mismatch between the points.
+  [[nodiscard]] double eval(std::span<const double> a,
+                            std::span<const double> b) const {
+    return at_distance(ard_distance(a, b, params_));
+  }
+
+  /// Covariance between two points; forwards to eval().
+  [[nodiscard]] double operator()(const linalg::Vector& a,
+                                  const linalg::Vector& b) const {
+    return eval(std::span<const double>(a.raw()),
+                std::span<const double>(b.raw()));
+  }
+
+  /// Covariance at scaled distance @p r >= 0: the family's formula.
+  [[nodiscard]] virtual double at_distance(double r) const = 0;
+
+  /// k(x, x) — for stationary kernels this is the signal variance.
+  [[nodiscard]] double diagonal_value() const noexcept {
+    return params_.signal_variance;
+  }
+
+  [[nodiscard]] const KernelParams& params() const noexcept { return params_; }
+
+  [[nodiscard]] virtual std::string name() const = 0;
+  /// Clone with different hyper-parameters (same functional form).
+  [[nodiscard]] virtual std::unique_ptr<Kernel> with_params(
+      KernelParams params) const = 0;
+  [[nodiscard]] virtual std::unique_ptr<Kernel> clone() const = 0;
+
+ protected:
+  /// Validates @p params (KernelParams::validate()).
+  explicit Kernel(KernelParams params);
+  Kernel(const Kernel&) = default;
+  Kernel(Kernel&&) = default;
+  Kernel& operator=(const Kernel&) = default;
+  Kernel& operator=(Kernel&&) = default;
+
+ private:
+  KernelParams params_;
+};
+
+/// k(r) = sigma_f^2 * exp(-0.5 * r^2).
+class SquaredExponentialKernel final : public Kernel {
+ public:
+  explicit SquaredExponentialKernel(KernelParams params);
+  [[nodiscard]] double at_distance(double r) const override;
+  [[nodiscard]] std::string name() const override { return "squared_exponential"; }
+  [[nodiscard]] std::unique_ptr<Kernel> with_params(KernelParams params) const override;
+  [[nodiscard]] std::unique_ptr<Kernel> clone() const override;
+};
+
+/// Matern nu=3/2: sigma_f^2 * (1 + sqrt(3) r) exp(-sqrt(3) r).
+class Matern32Kernel final : public Kernel {
+ public:
+  explicit Matern32Kernel(KernelParams params);
+  [[nodiscard]] double at_distance(double r) const override;
+  [[nodiscard]] std::string name() const override { return "matern32"; }
+  [[nodiscard]] std::unique_ptr<Kernel> with_params(KernelParams params) const override;
+  [[nodiscard]] std::unique_ptr<Kernel> clone() const override;
+};
+
+/// Matern nu=5/2 (Spearmint's default):
+/// sigma_f^2 * (1 + sqrt(5) r + 5 r^2 / 3) exp(-sqrt(5) r).
+class Matern52Kernel final : public Kernel {
+ public:
+  explicit Matern52Kernel(KernelParams params);
+  [[nodiscard]] double at_distance(double r) const override;
+  [[nodiscard]] std::string name() const override { return "matern52"; }
+  [[nodiscard]] std::unique_ptr<Kernel> with_params(KernelParams params) const override;
+  [[nodiscard]] std::unique_ptr<Kernel> clone() const override;
+};
 
 /// Builds the symmetric Gram matrix K(X, X) for rows of @p x.
 [[nodiscard]] linalg::Matrix kernel_matrix(const Kernel& k,

@@ -1,10 +1,14 @@
 #include "gp/kernel_fit.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "core/contracts.hpp"
+#include "linalg/cholesky.hpp"
 #include "stats/rng.hpp"
 
 namespace hp::gp {
@@ -32,6 +36,75 @@ struct FlatParams {
   }
 };
 
+/// The LML objective on one dataset. The pairwise input differences and the
+/// centred targets are built once; each probe then assembles the noisy Gram
+/// matrix from them with exactly the arithmetic of kernel_matrix() +
+/// add_to_diagonal() + GaussianProcess::fit(), so a probe's value is
+/// bit-identical to the LML of a GaussianProcess fitted with the same
+/// kernel and noise.
+class LmlProbe {
+ public:
+  LmlProbe(const linalg::Matrix& x, const linalg::Vector& y)
+      : n_(x.rows()),
+        dims_(x.cols()),
+        pairs_(n_ * (n_ - 1) / 2),
+        diff_(pairs_ * dims_),
+        r2_(pairs_),
+        centered_(y) {
+    // Dimension-major: diff_[d * pairs_ + p] = x(i,d) - x(j,d) for the p-th
+    // pair i < j in kernel_matrix()'s upper-triangle order, i.e. the
+    // operand order of ard_distance(row i, row j).
+    for (std::size_t d = 0; d < dims_; ++d) {
+      double* out = diff_.data() + d * pairs_;
+      for (std::size_t i = 0; i < n_; ++i) {
+        for (std::size_t j = i + 1; j < n_; ++j) *out++ = x(i, d) - x(j, d);
+      }
+    }
+    const double mean = y.mean();
+    for (std::size_t i = 0; i < n_; ++i) centered_[i] -= mean;
+  }
+
+  /// LML under @p kernel with observation noise @p noise; -inf when the
+  /// Gram matrix stays indefinite even with jitter or the LML is not finite.
+  double operator()(const Kernel& kernel, double noise) {
+    const KernelParams& params = kernel.params();
+    // r^2 per pair, summed over d in ascending order as ard_distance()
+    // does; the inner loop runs across independent pairs.
+    std::fill(r2_.begin(), r2_.end(), 0.0);
+    for (std::size_t d = 0; d < dims_; ++d) {
+      const double l = params.length_scale(d);
+      const double* diff = diff_.data() + d * pairs_;
+      for (std::size_t p = 0; p < pairs_; ++p) {
+        const double q = diff[p] / l;
+        r2_[p] += q * q;
+      }
+    }
+    linalg::Matrix gram(n_, n_);
+    const double diag = kernel.diagonal_value() + noise;
+    std::size_t p = 0;
+    for (std::size_t i = 0; i < n_; ++i) {
+      gram(i, i) = diag;
+      for (std::size_t j = i + 1; j < n_; ++j) {
+        const double v = kernel.at_distance(std::sqrt(r2_[p++]));
+        gram(i, j) = v;
+        gram(j, i) = v;
+      }
+    }
+    const auto chol = linalg::Cholesky::with_jitter(std::move(gram));
+    if (!chol.has_value()) return -std::numeric_limits<double>::infinity();
+    const double lml = lml_of_factor(centered_, chol->solve(centered_), *chol);
+    return std::isfinite(lml) ? lml : -std::numeric_limits<double>::infinity();
+  }
+
+ private:
+  std::size_t n_;
+  std::size_t dims_;
+  std::size_t pairs_;
+  std::vector<double> diff_;
+  std::vector<double> r2_;  ///< per-probe scratch
+  linalg::Vector centered_;
+};
+
 }  // namespace
 
 KernelFitResult fit_kernel_by_ml(GaussianProcess& gp, const linalg::Matrix& x,
@@ -41,27 +114,25 @@ KernelFitResult fit_kernel_by_ml(GaussianProcess& gp, const linalg::Matrix& x,
     throw std::invalid_argument("fit_kernel_by_ml: bad dataset");
   }
   const KernelParams& start = gp.kernel().params();
-  const std::size_t num_ls = start.length_scales.size() == 1
-                                 ? x.cols()
-                                 : start.length_scales.size();
+  if (start.length_scales.size() != 1 &&
+      start.length_scales.size() != x.cols()) {
+    throw std::invalid_argument(
+        "fit_kernel_by_ml: length-scale count must be 1 or match the input "
+        "dimension");
+  }
+  HP_CHECK_ALL_FINITE(y, "fit_kernel_by_ml targets y");
+  const std::size_t num_ls = x.cols();
 
   stats::Rng rng(options.seed);
   int evaluations = 0;
+  LmlProbe probe(x, y);
 
-  // Objective: LML of a fresh GP with the candidate parameters. Returns
-  // -inf for numerically infeasible parameter settings.
+  // Objective: LML of the candidate parameters; -inf for numerically
+  // infeasible settings. Any exception is a bug and propagates.
   const auto evaluate = [&](const FlatParams& fp) -> double {
     ++evaluations;
-    try {
-      auto kernel = gp.kernel().with_params(fp.to_kernel_params());
-      GaussianProcess probe(*kernel,
-                            fp.noise_variance(options.min_noise_variance));
-      probe.fit(x, y);
-      const double lml = probe.log_marginal_likelihood();
-      return std::isfinite(lml) ? lml : -std::numeric_limits<double>::infinity();
-    } catch (const std::exception&) {
-      return -std::numeric_limits<double>::infinity();
-    }
+    const auto kernel = gp.kernel().with_params(fp.to_kernel_params());
+    return probe(*kernel, fp.noise_variance(options.min_noise_variance));
   };
 
   const auto clamp_log = [&](double v) {

@@ -26,8 +26,11 @@ class Cholesky {
   [[nodiscard]] static std::optional<Cholesky> with_jitter(
       Matrix a, double initial_jitter = 1e-10, int max_attempts = 8);
 
-  /// Lower factor L.
-  [[nodiscard]] const Matrix& lower() const noexcept { return l_; }
+  /// Lower factor L, by value: the factor is stored transposed (see u_).
+  [[nodiscard]] Matrix lower() const { return u_.transposed(); }
+
+  /// Dimension n of the factored n x n matrix.
+  [[nodiscard]] std::size_t size() const noexcept { return u_.rows(); }
 
   /// Jitter added to the diagonal before factorization succeeded (0 when the
   /// plain constructor was used).
@@ -76,13 +79,16 @@ class Cholesky {
 
  private:
   struct FromFactor {};
-  Cholesky(FromFactor, Matrix l, double jitter)
-      : l_(std::move(l)), jitter_(jitter) {}
+  Cholesky(FromFactor, Matrix u, double jitter)
+      : u_(std::move(u)), jitter_(jitter) {}
 
-  /// Core in-place factorization; returns the factor or nullopt.
+  /// Core factorization; returns L^T (the layout of u_) or nullopt.
   [[nodiscard]] static std::optional<Matrix> factorize(const Matrix& a);
 
-  Matrix l_;
+  /// The factor stored column-major: u_ = L^T in a row-major Matrix, so
+  /// row j of u_ is column j of L and every sweep below reads contiguous
+  /// memory. The strictly lower triangle of u_ is zero.
+  Matrix u_;
   double jitter_ = 0.0;
 };
 

@@ -50,23 +50,6 @@ Matrix Matrix::diagonal(const Vector& diag) {
   return m;
 }
 
-double& Matrix::operator()(std::size_t r, std::size_t c) {
-  HP_BOUNDS(r, rows_);
-  HP_BOUNDS(c, cols_);
-  return data_[r * cols_ + c];
-}
-
-double Matrix::operator()(std::size_t r, std::size_t c) const {
-  HP_BOUNDS(r, rows_);
-  HP_BOUNDS(c, cols_);
-  return data_[r * cols_ + c];
-}
-
-std::span<const double> Matrix::row_span(std::size_t r) const {
-  HP_BOUNDS(r, rows_);
-  return std::span<const double>(data_.data() + r * cols_, cols_);
-}
-
 Vector Matrix::row(std::size_t r) const {
   HP_BOUNDS(r, rows_);
   Vector v(cols_);

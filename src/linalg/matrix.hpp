@@ -8,6 +8,7 @@
 #include <span>
 #include <vector>
 
+#include "core/contracts.hpp"
 #include "linalg/vector.hpp"
 
 namespace hp::linalg {
@@ -36,16 +37,33 @@ class Matrix {
   [[nodiscard]] bool square() const noexcept { return rows_ == cols_; }
 
   /// Element access; bounds are an HP_BOUNDS contract (checked builds
-  /// throw hp::core::ContractViolation, Release is unchecked).
-  [[nodiscard]] double& operator()(std::size_t r, std::size_t c);
-  [[nodiscard]] double operator()(std::size_t r, std::size_t c) const;
+  /// throw hp::core::ContractViolation, Release is unchecked). Inline so
+  /// hot loops compile to a plain indexed load.
+  [[nodiscard]] double& operator()(std::size_t r, std::size_t c) {
+    HP_BOUNDS(r, rows_);
+    HP_BOUNDS(c, cols_);
+    return data_[r * cols_ + c];
+  }
+  [[nodiscard]] double operator()(std::size_t r, std::size_t c) const {
+    HP_BOUNDS(r, rows_);
+    HP_BOUNDS(c, cols_);
+    return data_[r * cols_ + c];
+  }
 
   [[nodiscard]] const std::vector<double>& raw() const noexcept { return data_; }
 
   /// View of row @p r over the row-major storage (no copy). Bounds are an
   /// HP_BOUNDS contract like operator(); the span is invalidated by any
-  /// mutation of the matrix.
-  [[nodiscard]] std::span<const double> row_span(std::size_t r) const;
+  /// reallocation of the matrix.
+  [[nodiscard]] std::span<const double> row_span(std::size_t r) const {
+    HP_BOUNDS(r, rows_);
+    return {data_.data() + r * cols_, cols_};
+  }
+  /// Mutable view of row @p r (same contract as the const overload).
+  [[nodiscard]] std::span<double> row_span(std::size_t r) {
+    HP_BOUNDS(r, rows_);
+    return {data_.data() + r * cols_, cols_};
+  }
 
   /// Copy of row @p r as a Vector.
   [[nodiscard]] Vector row(std::size_t r) const;

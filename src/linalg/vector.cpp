@@ -21,16 +21,6 @@ namespace {
 }
 }  // namespace
 
-double& Vector::operator[](std::size_t i) {
-  HP_BOUNDS(i, data_.size());
-  return data_[i];
-}
-
-double Vector::operator[](std::size_t i) const {
-  HP_BOUNDS(i, data_.size());
-  return data_[i];
-}
-
 Vector& Vector::operator+=(const Vector& rhs) {
   HP_REQUIRE(size() == rhs.size(), size_mismatch("+=", size(), rhs.size()));
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += rhs.data_[i];

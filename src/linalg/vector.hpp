@@ -15,6 +15,8 @@
 #include <span>
 #include <vector>
 
+#include "core/contracts.hpp"
+
 namespace hp::linalg {
 
 /// Dense column vector of doubles.
@@ -32,9 +34,16 @@ class Vector {
   [[nodiscard]] bool empty() const noexcept { return data_.empty(); }
 
   /// Element access; bounds are an HP_BOUNDS contract (checked builds
-  /// throw hp::core::ContractViolation, Release is unchecked).
-  [[nodiscard]] double& operator[](std::size_t i);
-  [[nodiscard]] double operator[](std::size_t i) const;
+  /// throw hp::core::ContractViolation, Release is unchecked). Inline so
+  /// hot loops compile to a plain indexed load.
+  [[nodiscard]] double& operator[](std::size_t i) {
+    HP_BOUNDS(i, data_.size());
+    return data_[i];
+  }
+  [[nodiscard]] double operator[](std::size_t i) const {
+    HP_BOUNDS(i, data_.size());
+    return data_[i];
+  }
 
   [[nodiscard]] const std::vector<double>& raw() const noexcept { return data_; }
   [[nodiscard]] std::vector<double>& raw() noexcept { return data_; }

@@ -4,7 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "common/experiment.hpp"
+#include "common/report.hpp"
 #include "common/table.hpp"
 
 namespace hp::bench {
@@ -28,7 +35,9 @@ TEST(TextTable, RendersAlignedColumnsWithSeparator) {
   while (start < out.size()) {
     const auto nl = out.find('\n', start);
     const std::size_t width = nl - start;
-    if (prev != std::string::npos) EXPECT_EQ(width, prev);
+    if (prev != std::string::npos) {
+      EXPECT_EQ(width, prev);
+    }
     prev = width;
     start = nl + 1;
   }
@@ -137,6 +146,31 @@ TEST(RunOne, RespectsModeAndMethod) {
   // Default mode: no a-priori filtering, no early termination.
   EXPECT_EQ(result.trace.model_filtered_count(), 0u);
   EXPECT_EQ(result.trace.early_terminated_count(), 0u);
+}
+
+TEST(BenchReport, EveryFileRecordsProvenance) {
+  obs::JsonValue provenance = BenchReport::provenance();
+  EXPECT_GE(provenance["nproc"].number_or(0.0), 1.0);
+  const std::string fields = provenance.dump();
+  for (const char* key : {"\"compiler\":\"", "\"build_type\":\"",
+                          "\"contracts\":", "\"git_sha\":\""}) {
+    EXPECT_NE(fields.find(key), std::string::npos) << key << " in " << fields;
+  }
+
+  const std::string dir = ::testing::TempDir();
+  ASSERT_EQ(setenv("HYPERPOWER_BENCH_DIR", dir.c_str(), 1), 0);
+  std::string path;
+  {
+    BenchReport report("provenance_test");
+    path = report.write();
+  }
+  unsetenv("HYPERPOWER_BENCH_DIR");
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  EXPECT_NE(text.str().find("\"provenance\""), std::string::npos);
+  EXPECT_NE(text.str().find("\"nproc\""), std::string::npos);
+  std::remove(path.c_str());
 }
 
 TEST(Names, DatasetAndPlatformStrings) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <stdexcept>
 
 #include "stats/rng.hpp"
 
@@ -112,6 +114,41 @@ TEST(KernelFit, DeterministicForSeed) {
   const auto r2 = fit_kernel_by_ml(gp2, x, y, opt);
   EXPECT_DOUBLE_EQ(r1.log_marginal_likelihood, r2.log_marginal_likelihood);
   EXPECT_EQ(r1.evaluations, r2.evaluations);
+}
+
+/// A kernel whose formula is broken: any evaluation is a programming error.
+class ThrowingKernel final : public Kernel {
+ public:
+  explicit ThrowingKernel(KernelParams params) : Kernel(std::move(params)) {}
+  [[nodiscard]] double at_distance(double /*r*/) const override {
+    throw std::logic_error("ThrowingKernel: broken formula");
+  }
+  [[nodiscard]] std::string name() const override { return "throwing"; }
+  [[nodiscard]] std::unique_ptr<Kernel> with_params(
+      KernelParams params) const override {
+    return std::make_unique<ThrowingKernel>(std::move(params));
+  }
+  [[nodiscard]] std::unique_ptr<Kernel> clone() const override {
+    return std::make_unique<ThrowingKernel>(*this);
+  }
+};
+
+TEST(KernelFit, LogicErrorFromKernelPropagates) {
+  // Only an indefinite Gram matrix is a scored outcome (-inf); a bug in
+  // the kernel must escape the search, not read as "no feasible kernel
+  // parameters".
+  Matrix x{{0.1, 0.2}, {0.5, 0.4}, {0.9, 0.7}};
+  Vector y{1.0, 2.0, 0.5};
+  GaussianProcess gp(ThrowingKernel(KernelParams{}), 1e-3);
+  EXPECT_THROW((void)fit_kernel_by_ml(gp, x, y), std::logic_error);
+}
+
+TEST(KernelFit, RejectsLengthScaleCountMismatch) {
+  KernelParams start;
+  start.length_scales = {1.0, 2.0};  // two scales for three input dimensions
+  GaussianProcess gp(Matern52Kernel(start), 1e-3);
+  EXPECT_THROW((void)fit_kernel_by_ml(gp, Matrix(4, 3), Vector(4)),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 
 Covers the perf-gate contract: regressions beyond threshold fail with exit 1,
 improvements are reported but pass, a missing baseline only warns (exit 0),
-malformed JSON is rejected with exit 2, and tracked.json ratio invariants are
-enforced on the current snapshots.
+malformed JSON is rejected with exit 2, provenance differences warn (and
+thread-scaling files across core counts are refused with exit 2), and
+tracked.json ratio invariants are enforced on the current snapshots.
 """
 
 import contextlib
@@ -21,10 +22,21 @@ sys.path.insert(0, str(TOOLS_DIR))
 import bench_compare  # noqa: E402
 
 
-def write_bench(directory: Path, name: str, times: dict) -> None:
+def write_bench(directory: Path, name: str, times: dict,
+                provenance: dict | None = None) -> None:
     runs = [{"name": run, "iterations": 10, "real_time": t, "cpu_time": t,
              "time_unit": "ns"} for run, t in times.items()]
-    (directory / name).write_text(json.dumps({"bench": "x", "runs": runs}))
+    doc = {"bench": "x", "runs": runs}
+    if provenance is not None:
+        doc["provenance"] = provenance
+    (directory / name).write_text(json.dumps(doc))
+
+
+def provenance(**overrides):
+    out = {"nproc": 4, "compiler": "gcc 12.2.0", "build_type": "Release",
+           "contracts": 0, "git_sha": "abc"}
+    out.update(overrides)
+    return out
 
 
 def run_compare(argv):
@@ -49,6 +61,58 @@ class BenchCompareTest(unittest.TestCase):
     def args(self, *extra):
         return ["--baseline-dir", str(self.baseline),
                 "--current-dir", str(self.current), *extra]
+
+    def test_same_provenance_compares_quietly(self):
+        write_bench(self.baseline, "BENCH_a.json", {"BM_X/10": 100.0},
+                    provenance(git_sha="old"))
+        write_bench(self.current, "BENCH_a.json", {"BM_X/10": 100.0},
+                    provenance(git_sha="new"))
+        code, out, _ = run_compare(self.args())
+        self.assertEqual(code, 0)
+        self.assertNotIn("WARNING", out)
+        self.assertIn("baseline from old, current from new", out)
+
+    def test_provenance_difference_warns_but_compares(self):
+        write_bench(self.baseline, "BENCH_a.json", {"BM_X/10": 100.0},
+                    provenance(nproc=1, build_type="RelWithDebInfo"))
+        write_bench(self.current, "BENCH_a.json", {"BM_X/10": 130.0},
+                    provenance())
+        code, out, _ = run_compare(self.args())
+        self.assertEqual(code, 1)  # still compared: the regression counts
+        self.assertIn("provenance differs: nproc 1 (baseline) vs 4", out)
+        self.assertIn("provenance differs: build_type", out)
+
+    def test_missing_baseline_provenance_warns(self):
+        write_bench(self.baseline, "BENCH_a.json", {"BM_X/10": 100.0})
+        write_bench(self.current, "BENCH_a.json", {"BM_X/10": 100.0},
+                    provenance())
+        code, out, _ = run_compare(self.args())
+        self.assertEqual(code, 0)
+        self.assertIn("baseline records no provenance", out)
+
+    def test_thread_scaling_across_core_counts_is_refused(self):
+        name = "BENCH_micro_parallel.json"
+        write_bench(self.baseline, name, {"BM_P/4": 100.0}, provenance(nproc=1))
+        write_bench(self.current, name, {"BM_P/4": 100.0}, provenance(nproc=4))
+        code, _, err = run_compare(self.args())
+        self.assertEqual(code, 2)
+        self.assertIn("not comparable", err)
+
+    def test_thread_scaling_without_core_count_is_refused(self):
+        name = "BENCH_micro_parallel.json"
+        write_bench(self.baseline, name, {"BM_P/4": 100.0})
+        write_bench(self.current, name, {"BM_P/4": 100.0}, provenance())
+        code, _, err = run_compare(self.args())
+        self.assertEqual(code, 2)
+        self.assertIn("nproc=unknown", err)
+
+    def test_thread_scaling_on_same_core_count_compares(self):
+        name = "BENCH_micro_parallel.json"
+        write_bench(self.baseline, name, {"BM_P/4": 100.0}, provenance())
+        write_bench(self.current, name, {"BM_P/4": 200.0}, provenance())
+        code, out, _ = run_compare(self.args())
+        self.assertEqual(code, 1)
+        self.assertIn("REGRESSION", out)
 
     def test_unchanged_times_pass(self):
         write_bench(self.baseline, "BENCH_a.json", {"BM_X/10": 100.0})

@@ -120,6 +120,32 @@ class FailureRecordingTest(unittest.TestCase):
         })
         self.assertEqual(rules(findings), {"failure-recording"})
 
+    def test_fires_in_gp_and_linalg(self):
+        # A numerical layer reports "not positive definite" as a typed
+        # outcome; a catch that maps any exception to a score hides bugs.
+        findings = run_checks({
+            "src/gp/fit.cpp":
+                "double f() { try { return g(); } "
+                "catch (const std::exception&) { return -1.0; } }\n",
+            "src/linalg/chol.cpp":
+                "void f() { try { g(); } catch (...) { ok = false; } }\n",
+        })
+        self.assertEqual(
+            {(f.path.parent.name, f.rule) for f in findings
+             if f.rule == "failure-recording"},
+            {("gp", "failure-recording"), ("linalg", "failure-recording")})
+
+    def test_rethrow_in_gp_and_linalg_passes(self):
+        findings = run_checks({
+            "src/gp/fit.cpp":
+                "void f() { try { g(); } "
+                "catch (const std::exception&) { throw; } }\n",
+            "src/linalg/chol.cpp":
+                "void f() { try { g(); } catch (...) "
+                "{ e = std::current_exception(); } }\n",
+        })
+        self.assertEqual(rules(findings), set())
+
     def test_recording_and_other_dirs_pass(self):
         findings = run_checks({
             "src/core/a.cpp":

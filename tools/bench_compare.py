@@ -13,7 +13,14 @@ Checks, in order:
    machine-dependent, --normalize <run-name> divides every time by that run's
    time *within the same file* before comparing, turning the check into a
    relative-shape comparison that transfers across machines.
-2. Tracked invariants: <baseline-dir>/tracked.json pins machine-independent
+2. Provenance: every BENCH file records where it was measured (nproc,
+   compiler, build_type, contracts, git_sha; bench/common/report.cpp). A
+   baseline whose nproc, compiler, build type or contracts setting differs
+   from the current run's is compared with a WARNING naming the difference.
+   Thread-scaling files (BENCH_micro_parallel.json) are refused outright
+   (exit 2) unless both record the same core count: their timings measure
+   the machine's parallelism, not the code.
+3. Tracked invariants: <baseline-dir>/tracked.json pins machine-independent
    ratios, evaluated on the *current* files only. Each invariant carries
    min_ratio and/or max_ratio bounds — a floor pins a speedup that must
    persist (e.g. full GP refit over incremental refit >= 5x at n=200), a
@@ -22,7 +29,8 @@ Checks, in order:
 Exit codes:
   0  no regression (missing baseline files only produce warnings)
   1  regression beyond threshold, or a tracked invariant violated
-  2  malformed JSON, missing --normalize/invariant run names, or usage error
+  2  malformed JSON, missing --normalize/invariant run names, a
+     thread-scaling comparison across core counts, or usage error
 """
 
 from __future__ import annotations
@@ -41,12 +49,58 @@ class CompareError(Exception):
     """Malformed input: missing keys, bad JSON, unusable values."""
 
 
-def load_runs(path: Path) -> dict[str, float]:
-    """Maps run name -> real_time for one BENCH_*.json file."""
+# Files whose timings scale with the core count: comparing them across
+# machines with different core counts measures the machines.
+THREAD_SCALING_FILES = {"BENCH_micro_parallel.json"}
+# Provenance fields whose difference makes absolute times incomparable.
+PROVENANCE_KEYS = ("nproc", "compiler", "build_type", "contracts")
+
+
+def load_doc(path: Path) -> dict:
     try:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CompareError(f"{path}: unreadable or malformed JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise CompareError(f"{path}: top level is not an object")
+    return doc
+
+
+def load_provenance(path: Path) -> dict:
+    """The file's "provenance" object, or {} for files that predate it."""
+    provenance = load_doc(path).get("provenance", {})
+    return provenance if isinstance(provenance, dict) else {}
+
+
+def check_provenance(baseline: dict, current: dict, label: str) -> None:
+    """Warns about provenance differences; raises CompareError for a
+    thread-scaling file measured on different (or unknown) core counts."""
+    if label in THREAD_SCALING_FILES:
+        base_cpus, cur_cpus = baseline.get("nproc"), current.get("nproc")
+        if base_cpus is None or cur_cpus is None or base_cpus != cur_cpus:
+            raise CompareError(
+                f"{label}: thread-scaling runs measured on nproc="
+                f"{base_cpus if base_cpus is not None else 'unknown'} "
+                f"(baseline) vs "
+                f"{cur_cpus if cur_cpus is not None else 'unknown'} "
+                "(current) are not comparable; re-capture the baseline on "
+                "this machine")
+    if not baseline:
+        print(f"WARNING    {label}: baseline records no provenance")
+        return
+    for key in PROVENANCE_KEYS:
+        if baseline.get(key) != current.get(key):
+            print(f"WARNING    {label}: provenance differs: {key} "
+                  f"{baseline.get(key)!r} (baseline) vs "
+                  f"{current.get(key)!r} (current)")
+    if baseline.get("git_sha") != current.get("git_sha"):
+        print(f"INFO       {label}: baseline from {baseline.get('git_sha')}, "
+              f"current from {current.get('git_sha')}")
+
+
+def load_runs(path: Path) -> dict[str, float]:
+    """Maps run name -> real_time for one BENCH_*.json file."""
+    doc = load_doc(path)
     runs = doc.get("runs")
     if not isinstance(runs, list):
         raise CompareError(f"{path}: missing 'runs' array")
@@ -183,6 +237,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"WARNING    no baseline for {current_file.name}; "
                       "commit one from a Release run to arm the gate")
                 continue
+            check_provenance(load_provenance(baseline_file),
+                             load_provenance(current_file), current_file.name)
             baseline = load_runs(baseline_file)
             current = load_runs(current_file)
             if args.normalize is not None:

@@ -13,13 +13,16 @@ Rules (see DESIGN.md §10 for rationale and how to add one):
   exception-swallow     Every `catch (...)` must rethrow or capture via
                         std::current_exception(); silently swallowing
                         unknown exceptions hides contract violations.
-  failure-recording     In src/core and src/hw, every catch clause (typed
-                        or catch-all) must rethrow, capture via
-                        std::current_exception(), or visibly record the
-                        failure (EvalFailure / classify_failure, a failure
-                        counter or degraded flag, or a typed error
-                        return). The fault-tolerance layer depends on no
-                        evaluation or sensor failure vanishing silently.
+  failure-recording     In src/core, src/hw, src/gp and src/linalg, every
+                        catch clause (typed or catch-all) must rethrow,
+                        capture via std::current_exception(), or visibly
+                        record the failure (EvalFailure / classify_failure,
+                        a failure counter or degraded flag, or a typed
+                        error return). The fault-tolerance layer depends on
+                        no evaluation or sensor failure vanishing silently,
+                        and the numerical layers report an expected failure
+                        (e.g. a matrix that is not positive definite) as a
+                        typed outcome, never by catching an exception.
   raw-objective-evaluate
                         In library code (src/), Objective::evaluate /
                         evaluate_detached may only be invoked by the
@@ -204,9 +207,11 @@ def check_exception_swallow(path, root, lines, findings):
             "std::current_exception(); swallowing hides failures"))
 
 
+FAILURE_RECORDING_DIRS = ("core", "hw", "gp", "linalg")
+
+
 def check_failure_recording(path, root, lines, findings):
-    if not (in_dir(path, root, "src", "core")
-            or in_dir(path, root, "src", "hw")):
+    if not any(in_dir(path, root, "src", d) for d in FAILURE_RECORDING_DIRS):
         return
     text = "\n".join(strip_noise(line) for line in lines)
     for offset, _clause, body in catch_clauses(text):
@@ -215,7 +220,8 @@ def check_failure_recording(path, root, lines, findings):
         lineno = text.count("\n", 0, offset) + 1
         findings.append(Finding(
             path, lineno, "failure-recording",
-            "a catch in src/core or src/hw must rethrow, capture via "
+            "a catch in src/core, src/hw, src/gp or src/linalg must "
+            "rethrow, capture via "
             "std::current_exception(), or record the failure (EvalFailure "
             "/ classify_failure, a failure counter or degraded flag, or a "
             "typed error return)"))
