@@ -61,6 +61,12 @@ inline int run_micro_bench(const std::string& name, int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
   obs::JsonValue runs = obs::JsonValue::array();
   for (const auto& run : reporter.captured()) {
+    // Of a repeated bench's aggregates only the mean and median are times;
+    // stddev and cv would be compared against baselines as if they were.
+    if (run.run_type == benchmark::BenchmarkReporter::Run::RT_Aggregate &&
+        run.aggregate_name != "mean" && run.aggregate_name != "median") {
+      continue;
+    }
     runs.push_back(micro_run_to_json(run));
   }
   report.root()["runs"] = std::move(runs);

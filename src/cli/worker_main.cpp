@@ -159,8 +159,9 @@ int serve(const Args& args) {
     }
     heartbeat.set_job(job->job_id);
     if (fault == core::WorkerFault::Hang) {
-      // Chaos: wedge silently. Beats stop, the scheduler's missed-beat
-      // detector declares us lost and SIGKILLs the process.
+      // Chaos: wedge silently. Beats stop; the scheduler's missed-beat
+      // detector or job deadline, whichever fires first, declares us lost
+      // and SIGKILLs the process.
       heartbeat.suspend();
       std::this_thread::sleep_for(std::chrono::hours(1));
       return 1;  // unreachable in practice: the scheduler kills us first

@@ -28,12 +28,10 @@ struct FaultSpec {
   std::uint64_t seed = 1234;
   double transient_weight = 1.0;
   double persistent_weight = 0.0;
+  /// Injected Timeout faults throw at once, standing in for an attempt the
+  /// fleet killed at its deadline.
   double timeout_weight = 0.0;
   double diverged_weight = 0.0;
-  /// Real seconds an injected Timeout fault sleeps before throwing —
-  /// lets tests arm a shorter wall-clock deadline and watch the
-  /// DeadlineRunner fire first. 0 = throw immediately.
-  double hang_s = 0.0;
   /// Virtual cost charged for each injected failed attempt (a crashed
   /// training run still burned GPU time before dying).
   double failed_attempt_cost_s = 5.0;
@@ -46,7 +44,7 @@ struct FaultSpec {
   /// Probability the worker SIGKILLs itself mid-evaluation.
   double worker_kill_rate = 0.0;
   /// Probability the worker stops heartbeating and wedges (scheduler must
-  /// declare it Lost and SIGKILL it).
+  /// declare it Lost on missed beats or its job deadline and SIGKILL it).
   double worker_hang_rate = 0.0;
   /// Probability the worker corrupts its result frame (one payload byte
   /// flipped after the checksum is computed).

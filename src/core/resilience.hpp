@@ -6,14 +6,19 @@
 //   - EvalFailure: a typed evaluation error carrying a FailureKind (see
 //     core/objective.hpp) and the virtual cost the failed attempt consumed;
 //   - RetryPolicy: max attempts, deterministic exponential backoff with
-//     seeded jitter, a per-attempt wall-clock deadline, and the
-//     consecutive-failure budget after which a run aborts;
-//   - ResilientEvaluator: the retry/timeout wrapper around
+//     seeded jitter, and the consecutive-failure budget after which a run
+//     aborts;
+//   - ResilientEvaluator: the retry wrapper around
 //     Objective::evaluate / evaluate_detached used by the EvaluationEngine
 //     loop (the only production caller of the raw objective; enforced by
 //     tools/lint.py rule raw-objective-evaluate).
 //     A candidate whose attempts are exhausted becomes a Failed record
 //     (recorded and skipped) instead of killing the run.
+//
+// Wall-clock deadlines are not enforced here: an in-process attempt cannot
+// be stopped, only abandoned. The fleet (dist/job_scheduler.hpp) enforces
+// them by killing and reaping the worker process, and feeds the resulting
+// Timeout failure through this same RetryPolicy.
 //
 // Determinism contract: every retry decision is a pure function of
 // (run seed, sample index, attempt number) — backoff jitter comes from a
@@ -22,15 +27,9 @@
 // at any thread count and across journal resume.
 
 #include <cstdint>
-#include <functional>
-#include <limits>
-#include <memory>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
-#include "core/clock.hpp"
-#include "core/thread_annotations.hpp"
 #include "core/objective.hpp"
 #include "stats/rng.hpp"
 
@@ -59,7 +58,7 @@ class EvalFailure : public std::runtime_error {
 /// is Persistent.
 [[nodiscard]] FailureKind classify_failure(const std::exception& e) noexcept;
 
-/// Retry/timeout policy applied per evaluated sample.
+/// Retry policy applied per evaluated sample.
 struct RetryPolicy {
   /// Total tries per candidate (1 = no retries).
   std::size_t max_attempts = 3;
@@ -70,11 +69,6 @@ struct RetryPolicy {
   double backoff_initial_s = 30.0;
   double backoff_multiplier = 2.0;
   double backoff_jitter = 0.1;
-  /// Wall-clock deadline per attempt, in real seconds. Enforced by running
-  /// the attempt on a watchdog thread — only possible for objectives with
-  /// supports_concurrent_evaluation() (a detached attempt touches no shared
-  /// clock); otherwise the deadline is ignored with a warning.
-  double eval_timeout_s = std::numeric_limits<double>::infinity();
   /// The run aborts (Result.aborted) after this many consecutive Failed
   /// samples — the run-level guard against a persistently broken
   /// environment looping forever. 0 = never abort.
@@ -93,45 +87,9 @@ struct RetryPolicy {
 
 /// 1-based attempt index of the resilient evaluation currently running on
 /// this thread (0 outside one). Set by ResilientEvaluator around each
-/// attempt — including on the watchdog thread — so fault-injection
-/// decorators can key deterministic per-(config, attempt) schedules
-/// without any shared mutable state.
+/// attempt so fault-injection decorators can key deterministic
+/// per-(config, attempt) schedules without any shared mutable state.
 [[nodiscard]] std::size_t current_attempt() noexcept;
-
-/// Runs evaluation attempts under a wall-clock deadline on a watchdog
-/// thread. A timed-out attempt is abandoned to a zombie list (its thread
-/// keeps running) and joined at destruction, so destruction blocks until
-/// every abandoned attempt actually returned — simulated hangs in tests
-/// must therefore be finite. Thread-safe: run() may be called concurrently
-/// (the internal lock guards only the zombie list, never the wait).
-class DeadlineRunner {
- public:
-  DeadlineRunner();  // out of line: Zombie is incomplete here
-  ~DeadlineRunner();
-
-  DeadlineRunner(const DeadlineRunner&) = delete;
-  DeadlineRunner& operator=(const DeadlineRunner&) = delete;
-
-  /// Runs @p attempt on a worker thread and waits up to @p deadline_s wall
-  /// seconds. Returns true when the attempt finished (its result or
-  /// exception is in @p out / rethrown); false on timeout.
-  bool run(const std::function<EvaluationRecord()>& attempt,
-           double deadline_s, EvaluationRecord* out);
-
-  /// Timed-out attempts still running (diagnostic).
-  [[nodiscard]] std::size_t zombie_count();
-
- private:
-  void reap_finished_locked() HP_REQUIRES(mutex_);
-
-  struct Zombie;
-  /// Leaf lock (DESIGN.md §14): guards only the zombie list, never the
-  /// deadline wait itself, so concurrent run() calls only contend on
-  /// bookkeeping. Never held while acquiring another hp::Mutex (the joins
-  /// under it block on threads, not locks).
-  Mutex mutex_;
-  std::vector<std::unique_ptr<Zombie>> zombies_ HP_GUARDED_BY(mutex_);
-};
 
 /// Outcome of one resilient evaluation, for the optimizer's bookkeeping.
 struct ResilientOutcome {
@@ -140,7 +98,7 @@ struct ResilientOutcome {
   bool failed = false;       ///< record.status == Failed
 };
 
-/// Wraps an Objective with the retry/timeout/backoff policy. One instance
+/// Wraps an Objective with the retry/backoff policy. One instance
 /// per optimizer run; safe to call evaluate() concurrently from pool
 /// workers when the objective supports concurrent evaluation.
 class ResilientEvaluator {
@@ -169,7 +127,7 @@ class ResilientEvaluator {
   [[nodiscard]] const RetryPolicy& policy() const noexcept { return policy_; }
 
  private:
-  /// One attempt, under the deadline when armed. Throws on failure.
+  /// One attempt. Throws on failure.
   [[nodiscard]] EvaluationRecord attempt(const Configuration& config,
                                          const EarlyTerminationRule* rule,
                                          std::size_t attempt_index,
@@ -178,11 +136,6 @@ class ResilientEvaluator {
   Objective& objective_;
   RetryPolicy policy_;
   std::uint64_t run_seed_;
-  /// Deadline enforcement runs attempts on a watchdog thread, which is only
-  /// safe via the detached path (a timed-out zombie attempt must not keep
-  /// mutating the shared clock); resolved once at construction.
-  bool deadline_armed_;
-  DeadlineRunner deadline_runner_;
 };
 
 }  // namespace hp::core

@@ -61,19 +61,14 @@ double parse_number(const std::string& text, const char* what) {
   }
 }
 
-constexpr const char* kHeaderV1 =
-    "index,timestamp_s,status,test_error,diverged,power_w,memory_mb,"
-    "violates,cost_s";
-constexpr const char* kHeaderV2 =
+constexpr const char* kHeader =
     "index,timestamp_s,status,test_error,diverged,power_w,memory_mb,"
     "violates,cost_s,measured,attempts,failure";
 
-/// Parses one data row of either trace-CSV version. Throws via fail() on
-/// any malformed field.
-EvaluationRecord parse_trace_row(const std::string& line, std::size_t row,
-                                 bool v2) {
+/// Parses one 12-column data row. Throws via fail() on any malformed field.
+EvaluationRecord parse_trace_row(const std::string& line, std::size_t row) {
   const auto fields = split_csv_row(line);
-  const std::size_t expected = v2 ? 12 : 9;
+  constexpr std::size_t expected = 12;
   if (fields.size() != expected) {
     fail("row " + std::to_string(row) + ": expected " +
          std::to_string(expected) + " fields, got " +
@@ -93,14 +88,12 @@ EvaluationRecord parse_trace_row(const std::string& line, std::size_t row,
   }
   r.violates_constraints = parse_number(fields[7], "violates") != 0.0;
   r.cost_s = parse_number(fields[8], "cost");
-  if (v2) {
-    r.measured = parse_number(fields[9], "measured") != 0.0;
-    r.attempts = static_cast<std::size_t>(parse_number(fields[10], "attempts"));
-    if (!fields[11].empty()) {
-      const auto kind = failure_kind_from_string(fields[11]);
-      if (!kind) fail("unknown failure kind '" + fields[11] + "'");
-      r.failure_kind = kind;
-    }
+  r.measured = parse_number(fields[9], "measured") != 0.0;
+  r.attempts = static_cast<std::size_t>(parse_number(fields[10], "attempts"));
+  if (!fields[11].empty()) {
+    const auto kind = failure_kind_from_string(fields[11]);
+    if (!kind) fail("unknown failure kind '" + fields[11] + "'");
+    r.failure_kind = kind;
   }
   return r;
 }
@@ -119,12 +112,7 @@ std::string format_double(double value) {
 RunTrace load_trace_csv(std::istream& is) {
   std::string line;
   if (!std::getline(is, line)) fail("empty stream");
-  bool v2 = false;
-  if (line == kHeaderV2) {
-    v2 = true;
-  } else if (line != kHeaderV1) {
-    fail("unexpected header '" + line + "'");
-  }
+  if (line != kHeader) fail("unexpected header '" + line + "'");
 
   // Read every line up front so a malformed row can be told apart from a
   // torn final one (crash mid-write): only the last non-empty line may be
@@ -140,7 +128,7 @@ RunTrace load_trace_csv(std::istream& is) {
   RunTrace trace;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     try {
-      trace.add(parse_trace_row(rows[i].second, rows[i].first, v2));
+      trace.add(parse_trace_row(rows[i].second, rows[i].first));
     } catch (const std::runtime_error& e) {
       // Only a malformed FINAL row of an otherwise-valid file reads as a
       // torn tail; mid-file corruption — or a file whose only row is
@@ -247,18 +235,16 @@ EvaluationRecord parse_record_line(const std::string& line,
 namespace {
 
 constexpr const char* kJournalMagic = "hpjournal";
-constexpr const char* kJournalVersionV1 = "v1";
-constexpr const char* kJournalVersionV2 = "v2";
-constexpr const char* kJournalVersionV3 = "v3";
+constexpr const char* kJournalVersion = "v3";
 
 std::string journal_header_line(const JournalHeader& header) {
   std::ostringstream os;
-  os << kJournalMagic << ',' << kJournalVersionV3 << ',' << header.method << ','
+  os << kJournalMagic << ',' << kJournalVersion << ',' << header.method << ','
      << header.seed << ',' << header.batch_size;
   return os.str();
 }
 
-/// v2+ journal line: the line body followed by ",#<8-hex crc32 of body>".
+/// Journal line: the line body followed by ",#<8-hex crc32 of body>".
 /// The checksum turns "does the text still parse" into "is this the exact
 /// text that was written", which is what catches a torn middle write whose
 /// truncation happens to land on a field boundary.
@@ -272,7 +258,7 @@ std::string checksummed_record_line(const EvaluationRecord& r) {
   return checksummed_line(format_record_line(r));
 }
 
-/// The v3 clean-finalize marker. A distinct frame tag ("s", records use
+/// The clean-finalize marker. A distinct frame tag ("s", records use
 /// "r") keeps it unmistakable for a record even without the checksum.
 std::string epilogue_body(const std::string& state, std::size_t records) {
   std::ostringstream os;
@@ -280,7 +266,7 @@ std::string epilogue_body(const std::string& state, std::size_t records) {
   return os.str();
 }
 
-/// Splits a v2 line into body + checksum field, verifies the checksum, and
+/// Splits a journal line into body + checksum field, verifies the checksum, and
 /// returns the body. Throws via fail_journal on a missing or wrong
 /// checksum — the caller decides whether that is a droppable torn tail
 /// (final line) or fatal corruption (anything earlier).
@@ -351,12 +337,9 @@ JournalLoadResult EvalJournal::load(const std::string& path) {
   if (!std::getline(is, line)) fail_journal("empty file '" + path + "'");
   const auto header_fields = split_csv_row(line);
   if (header_fields.size() != 5 || header_fields[0] != kJournalMagic ||
-      (header_fields[1] != kJournalVersionV1 &&
-       header_fields[1] != kJournalVersionV2 &&
-       header_fields[1] != kJournalVersionV3)) {
+      header_fields[1] != kJournalVersion) {
     fail_journal("bad header in '" + path + "'");
   }
-  const bool checksummed = header_fields[1] != kJournalVersionV1;
   JournalLoadResult result;
   result.header.method = header_fields[2];
   try {
@@ -383,8 +366,7 @@ JournalLoadResult EvalJournal::load(const std::string& path) {
     }
     try {
       const std::string body =
-          checksummed ? verify_checksummed_line(rows[i].second, rows[i].first)
-                      : rows[i].second;
+          verify_checksummed_line(rows[i].second, rows[i].first);
       if (body.rfind("s,", 0) == 0) {
         const auto fields = split_csv_row(body);
         if (fields.size() != 3 || fields[1].empty()) {

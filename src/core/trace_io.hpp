@@ -26,12 +26,11 @@
 
 namespace hp::core {
 
-/// Parses a CSV produced by RunTrace::write_csv — the current 12-column
-/// format or the legacy 9-column one (legacy rows load with measured=true,
-/// attempts=1, no failure kind). Throws std::runtime_error on a malformed
-/// header or row, except that a malformed FINAL data row of a file that
-/// also holds valid rows — the torn tail of a writer that died mid-line —
-/// is dropped with a logged warning and the valid prefix is returned.
+/// Parses a 12-column CSV produced by RunTrace::write_csv. Throws
+/// std::runtime_error on any other header or a malformed row, except that
+/// a malformed FINAL data row of a file that also holds valid rows — the
+/// torn tail of a writer that died mid-line — is dropped with a logged
+/// warning and the valid prefix is returned.
 [[nodiscard]] RunTrace load_trace_csv(std::istream& is);
 
 /// File convenience wrappers; throw std::runtime_error on I/O failure.
@@ -68,7 +67,7 @@ struct JournalLoadResult {
   std::size_t dropped_lines = 0;
   /// The study_state epilogue written on clean finalize ("completed" or
   /// "aborted"); empty when the run never finalized (crash — the journal
-  /// ends in records or a torn tail) or the journal predates v3 writers.
+  /// ends in records or a torn tail).
   /// Lets resume tooling distinguish "this run finished" from "this run
   /// died" without replaying anything.
   std::string study_state;
@@ -82,16 +81,15 @@ struct JournalLoadResult {
 /// append() is a no-op, which lets the optimizer write journal code
 /// unconditionally.
 ///
-/// Format versions: new journals are written as `hpjournal,v3`. Since v2,
-/// record lines end in a `#crc32` field over the record body — a torn
-/// *middle* write (a crashed fleet merge, a disk that reordered flushes)
-/// is detected by the checksum and rejected deterministically even when
-/// the truncated text happens to still parse. v3 adds a checksummed
-/// `s,<state>,<count>` study_state epilogue written by finalize() when a
-/// run ends cleanly, so load() can report "completed" versus "torn tail"
-/// without replaying. v1 journals (no checksums) and v2 journals (no
-/// epilogue) remain loadable; only v1's unparseable corruption is
-/// detectable.
+/// Format: journals are written and read only as `hpjournal,v3`; no
+/// journal outlives its run, so older versions are rejected as a bad
+/// header. Every line after the header ends in a `#crc32` field over its
+/// body — a torn *middle* write (a crashed fleet merge, a disk that
+/// reordered flushes) is detected by the checksum and rejected
+/// deterministically even when the truncated text happens to still parse.
+/// A checksummed `s,<state>,<count>` study_state epilogue is written by
+/// finalize() when a run ends cleanly, so load() can report "completed"
+/// versus "torn tail" without replaying.
 class EvalJournal {
  public:
   EvalJournal() = default;

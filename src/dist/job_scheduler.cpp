@@ -272,8 +272,7 @@ void FleetScheduler::check_deadlines(JobTable& table) {
     WorkerState& state = workers_[slot];
     if (state.job) {
       if (now - state.dispatch_s > options_.job_deadline_s) {
-        // Kill + reap replaces DeadlineRunner's detached-thread hack for
-        // this path: the process is gone, nothing keeps running.
+        // Kill + reap: the process is gone, nothing keeps running.
         handle_worker_death(table, slot, core::FailureKind::Timeout,
                             "job deadline exceeded");
       } else if (now - state.last_activity_s > beat_budget_s) {

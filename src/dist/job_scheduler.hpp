@@ -4,9 +4,9 @@
 // JobTable per round, and runs a single-threaded poll(2) event loop on the
 // engine thread: dispatch queued jobs to idle ready workers, drain worker
 // frames, transition the table on results/heartbeats, and enforce wall-
-// clock deadlines and missed-beat detection by SIGKILL + reap — the
-// process-fleet replacement for DeadlineRunner's detached-watchdog hack
-// (the killed worker is *gone*; nothing keeps running past the deadline).
+// clock deadlines and missed-beat detection by SIGKILL + reap. This is the
+// only wall-clock deadline in the system: the killed worker is *gone*, so
+// nothing keeps running past the deadline.
 //
 // Failure handling routes through the EvalFailure taxonomy: a worker
 // death, missed heartbeat, blown deadline, or corrupt reply marks the

@@ -67,9 +67,8 @@ class WorkerSupervisor {
                       on_line,
                   const std::function<void(std::size_t)>& on_death);
 
-  /// SIGKILLs and reaps the worker (no-op when already dead). Unlike a
-  /// deadline enforced by a detached watchdog thread, the kill + reap here
-  /// is synchronous and final — nothing keeps running past it.
+  /// SIGKILLs and reaps the worker (no-op when already dead). The kill +
+  /// reap is synchronous and final — nothing keeps running past it.
   void kill_worker(std::size_t slot);
 
   /// Respawns a dead slot. Returns false (and retires the slot) once the

@@ -246,19 +246,4 @@ std::size_t GaussianProcess::num_observations() const noexcept {
   return x_.rows();
 }
 
-void GaussianProcess::set_kernel(const Kernel& kernel) {
-  kernel_ = kernel.clone();
-  cache_valid_ = false;  // every factor entry depends on the kernel
-  if (x_.rows() > 0) refit(RefitKind::kFull);
-}
-
-void GaussianProcess::set_noise_variance(double noise_variance) {
-  if (noise_variance < 0.0) {
-    throw std::invalid_argument("GaussianProcess: negative noise variance");
-  }
-  noise_variance_ = noise_variance;
-  cache_valid_ = false;  // the factor bakes in the old noisy diagonal
-  if (x_.rows() > 0) refit(RefitKind::kFull);
-}
-
 }  // namespace hp::gp

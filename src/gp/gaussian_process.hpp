@@ -129,13 +129,6 @@ class GaussianProcess {
   [[nodiscard]] std::size_t num_observations() const noexcept;
   [[nodiscard]] double target_mean() const noexcept { return y_mean_; }
 
-  /// Replaces the kernel (e.g. after hyper-parameter fitting) and refits if
-  /// data is present. Invalidates the cached factor: the refit is full.
-  void set_kernel(const Kernel& kernel);
-  /// Replaces the noise variance and refits if data is present.
-  /// Invalidates the cached factor: the refit is full.
-  void set_noise_variance(double noise_variance);
-
  private:
   /// Classifies how @p x relates to the currently fitted inputs; kFull
   /// whenever the cache cannot be reused (invalidated, jittered factor,

@@ -202,9 +202,10 @@ KernelFitResult fit_kernel_by_ml(GaussianProcess& gp, const linalg::Matrix& x,
   result.log_marginal_likelihood = best_lml;
   result.evaluations = evaluations;
 
-  auto kernel = gp.kernel().with_params(result.params);
-  gp.set_kernel(*kernel);
-  gp.set_noise_variance(result.noise_variance);
+  // A fresh GP fits (x, y) once; changing the hyper-parameters of `gp` in
+  // place would first refit its old data under them, an extra O(n^3).
+  gp = GaussianProcess(*gp.kernel().with_params(result.params),
+                       result.noise_variance);
   gp.fit(x, y);
   return result;
 }

@@ -180,11 +180,20 @@ TEST(EvalJournal, ThrowsOnMissingFileAndBadHeader) {
   EXPECT_THROW((void)EvalJournal::load(temp_path("no_such_journal.hpj")),
                std::runtime_error);
   const std::string path = temp_path("journal_badheader.hpj");
-  {
-    std::ofstream out(path, std::ios::trunc | std::ios::binary);
-    out << "not-a-journal,v9\n";
+  // Only v3 is read: the pre-checksum v1 and pre-epilogue v2 headers are
+  // rejected like any other unknown header, even over valid record lines.
+  for (const char* header_line : {"not-a-journal,v9", "hpjournal,v1,Rand,42,4",
+                                  "hpjournal,v2,Rand,42,4"}) {
+    SCOPED_TRACE(header_line);
+    {
+      std::ofstream out(path, std::ios::trunc | std::ios::binary);
+      out << header_line << "\n";
+      for (const auto& record : sample_records()) {
+        out << format_record_line(record) << "\n";
+      }
+    }
+    EXPECT_THROW((void)EvalJournal::load(path), std::runtime_error);
   }
-  EXPECT_THROW((void)EvalJournal::load(path), std::runtime_error);
   std::remove(path.c_str());
 }
 
@@ -351,61 +360,6 @@ TEST(EvalJournal, EpilogueRecordCountMismatchLoadsAsIncomplete) {
   EXPECT_FALSE(loaded.complete());
   EXPECT_EQ(loaded.dropped_lines, 1u);
   ASSERT_EQ(loaded.records.size(), 1u);
-  std::remove(path.c_str());
-}
-
-TEST(EvalJournal, LoadsLegacyV1JournalsWithoutChecksums) {
-  const std::string path = temp_path("journal_v1_legacy.hpj");
-  const std::vector<EvaluationRecord> records = sample_records();
-  {
-    // A journal written by the pre-checksum format: plain record lines.
-    std::ofstream out(path, std::ios::trunc | std::ios::binary);
-    out << "hpjournal,v1,Rand,42,4\n";
-    for (const auto& record : records) {
-      out << format_record_line(record) << "\n";
-    }
-  }
-  const JournalLoadResult loaded = EvalJournal::load(path);
-  EXPECT_EQ(loaded.header.method, "Rand");
-  EXPECT_EQ(loaded.header.seed, 42u);
-  EXPECT_EQ(loaded.dropped_lines, 0u);
-  ASSERT_EQ(loaded.records.size(), records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    SCOPED_TRACE(i);
-    expect_record_eq(loaded.records[i], records[i]);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(EvalJournal, LoadsLegacyV2JournalsWithoutEpilogue) {
-  const std::string path = temp_path("journal_v2_legacy.hpj");
-  const std::vector<EvaluationRecord> records = sample_records();
-  {
-    auto journal = EvalJournal::create(path, header());
-    for (const auto& record : records) journal.append(record);
-  }
-  // Record lines are identical between v2 and v3; only the header version
-  // and the (absent) epilogue differ. Rewriting the header makes this an
-  // exact pre-epilogue journal.
-  std::ifstream in(path, std::ios::binary);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  in.close();
-  const std::size_t version = contents.find(",v3,");
-  ASSERT_NE(version, std::string::npos);
-  contents.replace(version, 4, ",v2,");
-  {
-    std::ofstream out(path, std::ios::trunc | std::ios::binary);
-    out << contents;
-  }
-  const JournalLoadResult loaded = EvalJournal::load(path);
-  EXPECT_FALSE(loaded.complete());
-  EXPECT_EQ(loaded.dropped_lines, 0u);
-  ASSERT_EQ(loaded.records.size(), records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    SCOPED_TRACE(i);
-    expect_record_eq(loaded.records[i], records[i]);
-  }
   std::remove(path.c_str());
 }
 

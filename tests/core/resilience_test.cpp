@@ -2,11 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cmath>
 #include <functional>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "fake_objective.hpp"
@@ -15,7 +13,7 @@
 namespace hp::core {
 namespace {
 
-/// FakeObjective wrapper whose before_attempt hook can throw or sleep,
+/// FakeObjective wrapper whose before_attempt hook can throw,
 /// keyed by current_attempt() — the same channel the real fault-injection
 /// decorator uses.
 class FlakyObjective final : public Objective {
@@ -32,7 +30,7 @@ class FlakyObjective final : public Objective {
     return inner_.evaluate(config, early_termination);
   }
   [[nodiscard]] bool supports_concurrent_evaluation() const noexcept override {
-    return concurrent_;
+    return inner_.supports_concurrent_evaluation();
   }
   [[nodiscard]] EvaluationRecord evaluate_detached(
       const Configuration& config,
@@ -42,10 +40,6 @@ class FlakyObjective final : public Objective {
   }
   [[nodiscard]] Clock& clock() override { return inner_.clock(); }
 
-  void set_concurrent(bool on) {
-    concurrent_ = on;
-    inner_.set_supports_concurrent(on);
-  }
   [[nodiscard]] VirtualClock& virtual_clock() noexcept {
     return inner_.virtual_clock();
   }
@@ -55,7 +49,6 @@ class FlakyObjective final : public Objective {
 
  private:
   testing::FakeObjective inner_;
-  bool concurrent_ = true;
 };
 
 Configuration some_config() { return {0.4, 0.6}; }
@@ -248,28 +241,23 @@ TEST(ResilientEvaluator, ZeroMaxAttemptsMeansOneAttempt) {
   EXPECT_EQ(outcome.record.attempts, 1u);
 }
 
-TEST(ResilientEvaluator, RejectsNonPositiveTimeout) {
-  FlakyObjective objective;
-  RetryPolicy policy;
-  policy.eval_timeout_s = 0.0;
-  EXPECT_THROW(ResilientEvaluator(objective, policy, 1),
-               std::invalid_argument);
-}
-
+// A Timeout is what the fleet reports for an attempt it killed at its job
+// deadline; here the objective raises it directly. It is retried like a
+// Transient failure and charges only the cost it carries (none).
 TEST(ResilientEvaluator, DeadlineTimesOutHungAttemptAndRetries) {
   FlakyObjective objective;
   objective.before_attempt = [](std::size_t attempt) {
     if (attempt == 1) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      throw EvalFailure(FailureKind::Timeout, "attempt killed at deadline");
     }
   };
   RetryPolicy policy = jitterless_policy();
   policy.backoff_initial_s = 1.0;
-  policy.eval_timeout_s = 0.02;  // wall-clock seconds
   ResilientEvaluator evaluator(objective, policy, 1);
   const ResilientOutcome outcome =
       evaluator.evaluate(some_config(), nullptr, 0, /*detached=*/false);
   EXPECT_FALSE(outcome.failed);
+  EXPECT_EQ(outcome.retries, 1u);
   EXPECT_EQ(outcome.record.attempts, 2u);
   EXPECT_EQ(outcome.record.status, EvaluationStatus::Completed);
   // Timed-out attempt costs no virtual time; one backoff (1 s) + success.
@@ -280,70 +268,24 @@ TEST(ResilientEvaluator, DeadlineTimesOutHungAttemptAndRetries) {
 TEST(ResilientEvaluator, ExhaustedTimeoutsYieldTimeoutFailedRecord) {
   FlakyObjective objective;
   objective.before_attempt = [](std::size_t) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    throw EvalFailure(FailureKind::Timeout, "attempt killed at deadline");
   };
   RetryPolicy policy = jitterless_policy();
   policy.max_attempts = 2;
   policy.backoff_initial_s = 1.0;
-  policy.eval_timeout_s = 0.02;
   ResilientEvaluator evaluator(objective, policy, 1);
   const ResilientOutcome outcome =
       evaluator.evaluate(some_config(), nullptr, 0, false);
   EXPECT_TRUE(outcome.failed);
+  EXPECT_EQ(outcome.record.status, EvaluationStatus::Failed);
   ASSERT_TRUE(outcome.record.failure_kind.has_value());
   EXPECT_EQ(*outcome.record.failure_kind, FailureKind::Timeout);
   EXPECT_EQ(outcome.record.attempts, 2u);
-}
-
-TEST(ResilientEvaluator, DeadlineIgnoredForSerialObjectives) {
-  // A serial objective cannot run on the watchdog thread (a timed-out
-  // zombie would keep mutating the shared clock), so the deadline is
-  // disabled with a warning and a slow attempt completes normally.
-  FlakyObjective objective;
-  objective.set_concurrent(false);
-  objective.before_attempt = [](std::size_t) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  };
-  RetryPolicy policy = jitterless_policy();
-  policy.eval_timeout_s = 0.005;
-  ResilientEvaluator evaluator(objective, policy, 1);
-  const ResilientOutcome outcome =
-      evaluator.evaluate(some_config(), nullptr, 0, false);
-  EXPECT_FALSE(outcome.failed);
-  EXPECT_EQ(outcome.record.attempts, 1u);
-}
-
-TEST(DeadlineRunner, CompletesFastAttemptsAndRethrowsTheirExceptions) {
-  DeadlineRunner runner;
-  EvaluationRecord out;
-  EXPECT_TRUE(runner.run(
-      [] {
-        EvaluationRecord r;
-        r.test_error = 0.25;
-        return r;
-      },
-      1.0, &out));
-  EXPECT_DOUBLE_EQ(out.test_error, 0.25);
-  EXPECT_THROW(
-      (void)runner.run(
-          []() -> EvaluationRecord { throw std::runtime_error("boom"); }, 1.0,
-          &out),
-      std::runtime_error);
-  EXPECT_EQ(runner.zombie_count(), 0u);
-}
-
-TEST(DeadlineRunner, AbandonsTimedOutAttemptsAndReapsThemLater) {
-  DeadlineRunner runner;
-  EvaluationRecord out;
-  EXPECT_FALSE(runner.run(
-      [] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        return EvaluationRecord{};
-      },
-      0.005, &out));
-  EXPECT_EQ(runner.zombie_count(), 1u);
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  EXPECT_EQ(runner.zombie_count(), 0u);
+  EXPECT_EQ(outcome.retries, 1u);
+  // Two cost-free timeouts and the one backoff between them.
+  EXPECT_DOUBLE_EQ(outcome.record.cost_s, 1.0);
+  EXPECT_DOUBLE_EQ(objective.virtual_clock().now_s(), 1.0);
+  EXPECT_EQ(objective.evaluations(), 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "core/evaluation_engine.hpp"
 #include "core/random_search.hpp"
@@ -169,9 +170,29 @@ TEST(TraceIo, EmptyTraceRoundTrips) {
   EXPECT_EQ(load_trace_csv(buffer).size(), 0u);
 }
 
+constexpr const char* kHeader =
+    "index,timestamp_s,status,test_error,diverged,power_w,memory_mb,"
+    "violates,cost_s,measured,attempts,failure\n";
+
+// Loads @p csv expecting a std::runtime_error whose message names @p what,
+// so each rejection test fails if the loader rejects for another reason.
+void expect_rejected(const std::string& csv, const std::string& what) {
+  std::stringstream buffer(csv);
+  try {
+    (void)load_trace_csv(buffer);
+    ADD_FAILURE() << "expected a rejection naming '" << what << "'";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  }
+}
+
 TEST(TraceIo, RejectsBadHeader) {
-  std::stringstream buffer("foo,bar\n");
-  EXPECT_THROW((void)load_trace_csv(buffer), std::runtime_error);
+  expect_rejected("foo,bar\n", "unexpected header");
+  // The 9-column header of the pre-`measured` format is no longer read.
+  expect_rejected(
+      "index,timestamp_s,status,test_error,diverged,power_w,memory_mb,"
+      "violates,cost_s\n0,1,completed,0.5,0,,,0,1\n",
+      "unexpected header");
 }
 
 TEST(TraceIo, RejectsEmptyStream) {
@@ -180,24 +201,18 @@ TEST(TraceIo, RejectsEmptyStream) {
 }
 
 TEST(TraceIo, RejectsWrongFieldCount) {
-  std::stringstream buffer(
-      "index,timestamp_s,status,test_error,diverged,power_w,memory_mb,"
-      "violates,cost_s\n1,2,completed\n");
-  EXPECT_THROW((void)load_trace_csv(buffer), std::runtime_error);
+  expect_rejected(std::string(kHeader) + "1,2,completed\n",
+                  "expected 12 fields, got 3");
 }
 
 TEST(TraceIo, RejectsUnknownStatus) {
-  std::stringstream buffer(
-      "index,timestamp_s,status,test_error,diverged,power_w,memory_mb,"
-      "violates,cost_s\n0,1,weird,0.5,0,,,0,1\n");
-  EXPECT_THROW((void)load_trace_csv(buffer), std::runtime_error);
+  expect_rejected(std::string(kHeader) + "0,1,weird,0.5,0,,,0,1,1,1,\n",
+                  "unknown status 'weird'");
 }
 
 TEST(TraceIo, RejectsMalformedNumber) {
-  std::stringstream buffer(
-      "index,timestamp_s,status,test_error,diverged,power_w,memory_mb,"
-      "violates,cost_s\n0,abc,completed,0.5,0,,,0,1\n");
-  EXPECT_THROW((void)load_trace_csv(buffer), std::runtime_error);
+  expect_rejected(std::string(kHeader) + "0,abc,completed,0.5,0,,,0,1,1,1,\n",
+                  "malformed timestamp");
 }
 
 TEST(TraceIo, FileRoundTrip) {

@@ -176,6 +176,25 @@ TEST(FleetScheduler, SurvivesHangingWorkersViaMissedBeats) {
   expect_no_zombie_children();
 }
 
+// The job deadline is the one wall-clock deadline left: with a beat
+// budget far beyond the test's runtime, only the deadline can catch a
+// wedged worker, SIGKILL it, and requeue its job through the dispatch
+// RetryPolicy.
+TEST(FleetScheduler, KillsHungWorkerAtJobDeadline) {
+  const std::string reference = reference_trace();
+  const FleetRun fleet = fleet_run(3, {"--worker-hang-rate", "0.25"},
+                                   [](FleetOptions options) {
+                                     options.missed_beat_limit = 1000;  // 100 s
+                                     options.job_deadline_s = 2.0;
+                                     return options;
+                                   });
+  EXPECT_EQ(fleet.trace, reference);
+  EXPECT_GE(fleet.stats.worker_deaths, 1u);  // killed at the deadline
+  EXPECT_GE(fleet.stats.requeued, 1u);
+  EXPECT_GE(fleet.stats.completed, 10u);
+  expect_no_zombie_children();
+}
+
 TEST(FleetScheduler, MissingWorkerBinaryThrows) {
   FleetOptions options;
   options.supervisor.worker_binary = "/no/such/hpo-worker";

@@ -149,27 +149,6 @@ TEST(GaussianProcess, LooMeansReasonableOnSmoothData) {
   EXPECT_LT(max_err, 0.05);
 }
 
-TEST(GaussianProcess, SetKernelRefits) {
-  auto gp = make_gp(1e-6);
-  gp.fit(column({0.0, 1.0}), Vector{0.0, 1.0});
-  const double before = gp.predict(Vector{0.5}).mean;
-  KernelParams wide;
-  wide.length_scales = {10.0};
-  gp.set_kernel(Matern52Kernel(wide));
-  EXPECT_TRUE(gp.fitted());
-  const double after = gp.predict(Vector{0.5}).mean;
-  EXPECT_NE(before, after);
-}
-
-TEST(GaussianProcess, SetNoiseVarianceValidatesAndRefits) {
-  auto gp = make_gp(1e-6);
-  gp.fit(column({0.0, 1.0}), Vector{0.0, 1.0});
-  EXPECT_THROW(gp.set_noise_variance(-0.1), std::invalid_argument);
-  gp.set_noise_variance(0.3);
-  EXPECT_DOUBLE_EQ(gp.noise_variance(), 0.3);
-  EXPECT_TRUE(gp.fitted());
-}
-
 TEST(GaussianProcess, NumObservations) {
   auto gp = make_gp();
   EXPECT_EQ(gp.num_observations(), 0u);
@@ -324,26 +303,6 @@ TEST(GaussianProcessIncremental, ChangedRowForcesFullRefit) {
   Matrix x2 = x;
   x2(3, 1) += 1e-9;  // any bit difference in the prefix disables reuse
   gp.fit(std::move(x2), std::move(y));
-  EXPECT_EQ(gp.last_refit_kind(), RefitKind::kFull);
-}
-
-TEST(GaussianProcessIncremental, KernelOrNoiseChangeInvalidatesCache) {
-  Matrix x;
-  Vector y;
-  random_dataset(14, 2, 75, x, y);
-  auto gp = make_gp2d();
-  gp.fit(x, y);
-  gp.fit(x, y);
-  ASSERT_EQ(gp.last_refit_kind(), RefitKind::kReused);
-  // The kernel-ML refit path replaces kernel + noise: both setters must
-  // force a full factorization (the cached Gram is stale).
-  KernelParams p;
-  p.length_scales = {0.5, 0.5};
-  gp.set_kernel(Matern52Kernel(p));
-  EXPECT_EQ(gp.last_refit_kind(), RefitKind::kFull);
-  gp.fit(x, y);
-  EXPECT_EQ(gp.last_refit_kind(), RefitKind::kReused);
-  gp.set_noise_variance(2e-4);
   EXPECT_EQ(gp.last_refit_kind(), RefitKind::kFull);
 }
 

@@ -55,7 +55,7 @@ commands:
             [--power-budget W] [--memory-budget MB] [--hours H | --evals N]
             [--default-mode] [--seed S] [--trace PATH]
             [--batch K] [--threads T]   (batched parallel evaluation)
-            [--retries N] [--eval-timeout S]   (fault tolerance)
+            [--retries N]                      (fault tolerance)
             [--journal PATH] [--resume]        (crash-safe checkpointing)
             [--fault-rate R] [--fault-seed S] [--sensor-fault-rate R]
             [--workers N] [--worker-bin PATH]  (multi-process fleet;
