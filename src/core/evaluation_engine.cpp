@@ -14,21 +14,12 @@ namespace hp::core {
 
 namespace {
 
-/// Driver-phase instruments; process-global, fetched once. Wall-time
-/// histograms measure real phase durations — the virtual clock is charged
-/// separately from modelled costs and is never read here.
+/// Driver-phase instrument; process-global, fetched once.
 struct DriverMetrics {
   obs::Counter& rounds;
-  obs::Histogram& round_evaluate_s;
-  obs::Histogram& merge_s;
 
   static DriverMetrics& get() {
-    obs::MetricsRegistry& m = obs::metrics();
-    static DriverMetrics instance{
-        m.counter("optimizer.rounds"),
-        m.histogram("optimizer.round_evaluate_s"),
-        m.histogram("optimizer.merge_s"),
-    };
+    static DriverMetrics instance{obs::metrics().counter("optimizer.rounds")};
     return instance;
   }
 };
@@ -108,8 +99,7 @@ RunResult EvaluationEngine::resume(
 
 RunResult EvaluationEngine::run_impl(
     const std::vector<EvaluationRecord>* replay) {
-  obs::ScopedTimer run_span("optimizer.run", nullptr, obs::LogLevel::kTrace,
-                            options_.seed);
+  obs::ScopedTimer run_span("optimizer.run", options_.seed);
   run_span.trace_arg({"seed", options_.seed});
   run_span.trace_arg({"batch_size", options_.batch_size});
   run_span.trace_arg({"num_threads", options_.num_threads});
@@ -144,8 +134,7 @@ RunResult EvaluationEngine::run_impl(
     // not of scheduling) so the round's span id — and the ids of
     // everything beneath it — is identical at any thread count.
     const std::size_t round_base = study_.next_sample_index();
-    obs::ScopedTimer round_span("optimizer.round", nullptr,
-                                obs::LogLevel::kTrace, round_base);
+    obs::ScopedTimer round_span("optimizer.round", round_base);
     round_span.trace_arg({"round_base", round_base});
     if (batched && obs::metrics().enabled()) DriverMetrics::get().rounds.add(1);
 
@@ -165,9 +154,7 @@ RunResult EvaluationEngine::run_impl(
         if (trials[i].requires_evaluation) job_of[i] = next_job++;
       }
       if (!jobs.empty()) {
-        obs::ScopedTimer evaluate_timer("optimize.round_evaluate",
-                                        &DriverMetrics::get().round_evaluate_s,
-                                        obs::LogLevel::kTrace, round_base);
+        obs::ScopedTimer evaluate_timer("optimize.round_evaluate", round_base);
         const std::size_t expected = jobs.size();
         records = dispatcher->evaluate_round(std::move(jobs));
         if (records.size() != expected) {
@@ -185,8 +172,7 @@ RunResult EvaluationEngine::run_impl(
     // detached costs to the clock, sample by sample.
     std::optional<obs::ScopedTimer> merge_timer;
     if (batched) {
-      merge_timer.emplace("optimize.merge", &DriverMetrics::get().merge_s,
-                          obs::LogLevel::kTrace, round_base);
+      merge_timer.emplace("optimize.merge", round_base);
     }
     for (std::size_t i = 0; i < trials.size(); ++i) {
       Trial& trial = trials[i];

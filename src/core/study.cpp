@@ -9,22 +9,6 @@
 
 namespace hp::core {
 
-namespace {
-
-/// Proposal-phase instrument; process-global, fetched once. Wall time, not
-/// virtual clock: the modelled proposal overhead is charged separately at
-/// begin_trial.
-struct StudyMetrics {
-  obs::Histogram& propose_s;
-
-  static StudyMetrics& get() {
-    static StudyMetrics instance{obs::metrics().histogram("optimizer.propose_s")};
-    return instance;
-  }
-};
-
-}  // namespace
-
 const char* to_string(TrialState state) noexcept {
   switch (state) {
     case TrialState::kProposed:
@@ -204,8 +188,7 @@ std::vector<Trial> Study::ask(std::size_t k) {
   {
     std::optional<obs::ScopedTimer> timer;
     if (!batched || !proposer_.supports_parallel_proposals()) {
-      timer.emplace("optimize.propose", &StudyMetrics::get().propose_s,
-                    obs::LogLevel::kTrace, round_base);
+      timer.emplace("optimize.propose", round_base);
     }
     if (!batched) {
       proposals.push_back(proposer_.propose(shared_rng_));
@@ -306,8 +289,7 @@ void Study::tell(TrialResult result) {
 }
 
 void Study::book(EvaluationRecord& record) {
-  obs::ScopedTimer finalize_span("optimizer.sample.finalize", nullptr,
-                                 obs::LogLevel::kTrace,
+  obs::ScopedTimer finalize_span("optimizer.sample.finalize",
                                  recorder_.trace().size());
   // Classify against the *measured* metrics (both modes measure after
   // training; the default mode just could not avoid the cost).

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -400,20 +401,43 @@ JournalLoadResult EvalJournal::load(const std::string& path) {
 
 void EvalJournal::append(const EvaluationRecord& record) {
   if (!active()) return;
-  obs::ScopedTimer fsync_span("journal.fsync", nullptr, obs::LogLevel::kTrace,
-                              record.index);
+  obs::ScopedTimer fsync_span("journal.fsync", record.index);
   write_journal_line(file_.get(), path_, checksummed_record_line(record));
 }
 
 void EvalJournal::finalize(const std::string& state, std::size_t records) {
   if (!active()) return;
   if (state.empty()) fail_journal("finalize requires a non-empty state");
-  obs::ScopedTimer fsync_span("journal.fsync", nullptr, obs::LogLevel::kTrace,
-                              records);
+  obs::ScopedTimer fsync_span("journal.fsync", records);
   write_journal_line(file_.get(), path_,
                      checksummed_line(epilogue_body(state, records)));
   file_.reset();
   path_.clear();
+}
+
+std::optional<JournalLoadResult> load_journal_for_resume(
+    const std::string& path, const JournalHeader& expected) {
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec) && !ec) return std::nullopt;
+  JournalLoadResult journal;
+  try {
+    journal = EvalJournal::load(path);
+  } catch (const std::runtime_error& e) {
+    throw std::invalid_argument(
+        "--resume: cannot resume from " + path + " (" + e.what() +
+        "); the file is left untouched — move it aside to start afresh");
+  }
+  if (journal.header.method != expected.method ||
+      journal.header.seed != expected.seed ||
+      journal.header.batch_size != expected.batch_size) {
+    throw std::invalid_argument(
+        "--resume: journal " + path + " was written by " +
+        journal.header.method + "/seed " +
+        std::to_string(journal.header.seed) + "/batch " +
+        std::to_string(journal.header.batch_size) +
+        ", which does not match this invocation");
+  }
+  return journal;
 }
 
 }  // namespace hp::core

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -137,5 +138,16 @@ class EvalJournal {
   std::unique_ptr<std::FILE, FileCloser> file_;
   std::string path_;
 };
+
+/// The resume policy: loads the journal at @p path for a run identified by
+/// @p expected. Returns nullopt when no file exists there (nothing to
+/// resume, so a fresh run loses nothing). Only a torn final line — a crash
+/// mid-append — is recovered, by dropping it. Every other load failure (an
+/// unreadable file, a bad or other-version header, a corrupt line before
+/// the last) and a journal of another method/seed/batch throws
+/// std::invalid_argument. Never writes the file: a refused journal stays
+/// byte-identical, because the run that would follow truncates it.
+[[nodiscard]] std::optional<JournalLoadResult> load_journal_for_resume(
+    const std::string& path, const JournalHeader& expected);
 
 }  // namespace hp::core

@@ -19,7 +19,6 @@ struct GpMetrics {
   obs::Counter& refits;
   obs::Counter& refits_incremental;
   obs::Histogram& refit_n;
-  obs::Histogram& cholesky_s;
 
   static GpMetrics& get() {
     static GpMetrics m{
@@ -27,7 +26,6 @@ struct GpMetrics {
         obs::metrics().counter("gp.refits_incremental"),
         obs::metrics().histogram("gp.refit_observations",
                                  obs::exponential_buckets(1.0, 2.0, 12)),
-        obs::metrics().histogram("gp.cholesky_s"),
     };
     return m;
   }
@@ -132,7 +130,7 @@ void GaussianProcess::refit(RefitKind kind) {
 void GaussianProcess::refit_full() {
   linalg::Matrix noisy = kernel_matrix(*kernel_, x_);
   noisy.add_to_diagonal(noise_variance_);
-  obs::ScopedTimer chol_timer("gp.cholesky", &GpMetrics::get().cholesky_s);
+  obs::ScopedTimer chol_timer("gp.cholesky");
   auto chol = linalg::Cholesky::with_jitter(std::move(noisy));
   chol_timer.stop();
   // HP_ENFORCE (never compiled out): proceeding without a factor would
@@ -162,7 +160,7 @@ bool GaussianProcess::try_extend_factor() {
   }
   // Border the factor one row at a time. The noisy diagonal entry is formed
   // exactly as add_to_diagonal() would: gram diagonal + noise, one addition.
-  obs::ScopedTimer chol_timer("gp.cholesky", &GpMetrics::get().cholesky_s);
+  obs::ScopedTimer chol_timer("gp.cholesky");
   const double diag = kernel_->diagonal_value() + noise_variance_;
   std::optional<linalg::Cholesky> grown;
   for (const linalg::Vector& row : rows) {

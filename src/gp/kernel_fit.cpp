@@ -9,6 +9,7 @@
 
 #include "core/contracts.hpp"
 #include "linalg/cholesky.hpp"
+#include "obs/span.hpp"
 #include "stats/rng.hpp"
 
 namespace hp::gp {
@@ -122,6 +123,8 @@ KernelFitResult fit_kernel_by_ml(GaussianProcess& gp, const linalg::Matrix& x,
   }
   HP_CHECK_ALL_FINITE(y, "fit_kernel_by_ml targets y");
   const std::size_t num_ls = x.cols();
+  obs::ScopedTimer span("gp.fit_kernel", x.rows());
+  span.trace_arg({"n", x.rows()});
 
   stats::Rng rng(options.seed);
   int evaluations = 0;
@@ -201,6 +204,7 @@ KernelFitResult fit_kernel_by_ml(GaussianProcess& gp, const linalg::Matrix& x,
   result.noise_variance = best.noise_variance(options.min_noise_variance);
   result.log_marginal_likelihood = best_lml;
   result.evaluations = evaluations;
+  span.trace_arg({"probes", evaluations});
 
   // A fresh GP fits (x, y) once; changing the hyper-parameters of `gp` in
   // place would first refit its old data under them, an extra O(n^3).

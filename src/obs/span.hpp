@@ -1,49 +1,33 @@
 #pragma once
-// RAII span timing keyed by run phase. A ScopedTimer samples the steady
-// clock only when some backend wants the result (metrics enabled with a
-// target histogram, the logger enabled at the span level, or the tracer
-// recording), so an idle observability layer costs three relaxed atomic
-// loads per span. When several backends are armed they all share the same
-// two clock samples — one timing source, no double reads — which keeps the
-// histogram/log output bitwise-identical whether or not tracing is on.
+// RAII span timing keyed by run phase — the only way the program times
+// itself. A ScopedTimer samples the steady clock only while the tracer is
+// recording, so with tracing off a span costs one relaxed atomic load.
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 
-#include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace hp::obs {
 
-/// Times a scope; on destruction records the elapsed wall time into an
-/// optional histogram, emits a "span" log event with the phase name,
-/// and/or records a trace span under the thread's current span.
+/// Times a scope as a trace span under the thread's current span; on
+/// destruction the tracer records it into its ring and per-name totals.
 /// Wall time is observability output only — it never feeds back into the
 /// run (the virtual clock is charged from modelled costs, not from spans).
 class ScopedTimer {
  public:
-  /// @param phase stable dotted phase name, e.g. "optimize.merge"; must be
+  /// @param name stable dotted phase name, e.g. "optimize.merge"; must be
   ///   a literal (not copied; the tracer ring stores the pointer).
-  /// @param hist target histogram (may be nullptr for log/trace-only
-  ///   spans).
-  /// @param span_level level of the emitted span event.
-  /// @param trace_key deterministic discriminator for same-named sibling
-  ///   spans (sample index, attempt number, round base) so span IDs are
-  ///   stable across thread counts.
-  explicit ScopedTimer(const char* phase, Histogram* hist = nullptr,
-                       LogLevel span_level = LogLevel::kTrace,
-                       std::uint64_t trace_key = 0) noexcept
-      : phase_(phase),
-        hist_(metrics().enabled() ? hist : nullptr),
-        span_level_(span_level),
-        log_on_(logger().enabled(span_level)),
-        trace_on_(tracer().enabled()) {
-    if (trace_on_) {
-      parent_ = tracer().current_span();
-      span_id_ = tracer().begin_span(phase, trace_key);
-    }
-    if (armed()) start_ = std::chrono::steady_clock::now();
+  /// @param key deterministic discriminator for same-named sibling spans
+  ///   (sample index, attempt number, round base) so span IDs are stable
+  ///   across thread counts.
+  explicit ScopedTimer(const char* name, std::uint64_t key = 0) noexcept
+      : name_(name), on_(tracer().enabled()) {
+    if (!on_) return;
+    parent_ = tracer().current_context();
+    id_ = tracer().begin_span(name, key, &child_s_);
+    start_ = std::chrono::steady_clock::now();
   }
 
   ScopedTimer(const ScopedTimer&) = delete;
@@ -51,47 +35,33 @@ class ScopedTimer {
 
   ~ScopedTimer() { stop(); }
 
-  /// Attaches a typed annotation to the trace span (no-op unless tracing
-  /// armed this timer; histogram/log output never sees args).
+  /// Attaches a typed annotation to the span (no-op while tracing is off).
   void trace_arg(TraceArg arg) noexcept {
-    if (!trace_on_ || num_args_ >= kMaxTraceArgs) return;
+    if (!on_ || num_args_ >= kMaxTraceArgs) return;
     args_[num_args_++] = arg;
   }
 
   /// Records and disarms early (idempotent).
-  void stop() {
-    if (!armed()) return;
+  void stop() noexcept {
+    if (!on_) return;
+    on_ = false;
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start_)
             .count();
-    if (trace_on_) {
-      tracer().end_span(span_id_, parent_, phase_, start_, elapsed, args_,
-                        num_args_);
-      trace_on_ = false;
-    }
-    if (hist_ != nullptr) hist_->observe(elapsed);
-    if (log_on_) {
-      logger().log(span_level_, "span",
-                   {{"phase", JsonValue(phase_)},
-                    {"elapsed_s", JsonValue(elapsed)}});
-    }
-    hist_ = nullptr;
-    log_on_ = false;
+    tracer().end_span(id_, parent_, name_, start_, elapsed,
+                      child_s_.load(std::memory_order_relaxed), args_,
+                      num_args_);
   }
 
  private:
-  [[nodiscard]] bool armed() const noexcept {
-    return hist_ != nullptr || log_on_ || trace_on_;
-  }
-
-  const char* phase_;
-  Histogram* hist_;
-  LogLevel span_level_;
-  bool log_on_;
-  bool trace_on_;
-  std::uint64_t span_id_ = 0;
-  std::uint64_t parent_ = 0;
+  const char* name_;
+  bool on_;
+  std::uint64_t id_ = 0;
+  SpanContext parent_;
+  /// Summed durations of this span's direct children, credited by them at
+  /// their end — from pool threads too, hence atomic.
+  std::atomic<double> child_s_{0.0};
   std::uint8_t num_args_ = 0;
   TraceArg args_[kMaxTraceArgs];
   std::chrono::steady_clock::time_point start_;

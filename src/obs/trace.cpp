@@ -46,7 +46,7 @@ struct TlsBuffer {
   std::uint64_t generation = 0;
 };
 thread_local TlsBuffer tls_buffer;
-thread_local std::uint64_t tls_current_span = 0;
+thread_local SpanContext tls_context;
 
 void write_hex_id(std::ostream& os, std::uint64_t id) {
   // Ids exceed 2^53, so they are exported as hex strings, never JSON
@@ -268,10 +268,10 @@ FlightRecorder& flight_recorder() {
 
 // ---------------------------------------------------------------- tracer
 
-/// One thread's ring segment: single-writer (the owning thread), with a
-/// monotonic cursor published by release stores. Readers (snapshot/export)
-/// must only run while writers are quiescent; the cursor tells them how
-/// many events survive.
+/// One thread's ring segment and per-name totals: single-writer (the
+/// owning thread), with a monotonic ring cursor published by release
+/// stores. Readers (snapshot/export/phase_totals) must only run while
+/// writers are quiescent; the cursor tells them how many events survive.
 struct Tracer::Buffer {
   explicit Buffer(std::size_t cap) : capacity(cap), events(cap) {}
 
@@ -279,6 +279,10 @@ struct Tracer::Buffer {
   std::size_t capacity;
   std::vector<TraceEvent> events;
   std::atomic<std::uint64_t> count{0};
+  /// Keyed by the name literal's address (PhaseStat::name stays empty);
+  /// phase_totals() merges by text, since equal literals in different
+  /// translation units may not share one address.
+  std::unordered_map<const char*, PhaseStat> totals;
 
   void push(const TraceEvent& e) noexcept {
     const std::uint64_t n = count.load(std::memory_order_relaxed);
@@ -307,20 +311,18 @@ void Tracer::reset() {
   generation_.fetch_add(1, std::memory_order_release);
 }
 
-std::uint64_t Tracer::current_span() const noexcept {
-  return tls_current_span;
-}
+SpanContext Tracer::current_context() const noexcept { return tls_context; }
 
-std::uint64_t Tracer::exchange_current(std::uint64_t span) noexcept {
-  const std::uint64_t previous = tls_current_span;
-  tls_current_span = span;
+SpanContext Tracer::exchange_context(SpanContext context) noexcept {
+  const SpanContext previous = tls_context;
+  tls_context = context;
   return previous;
 }
 
-std::uint64_t Tracer::begin_span(const char* name,
-                                 std::uint64_t key) noexcept {
-  const std::uint64_t id = span_id(tls_current_span, name, key);
-  tls_current_span = id;
+std::uint64_t Tracer::begin_span(const char* name, std::uint64_t key,
+                                 std::atomic<double>* child_s) noexcept {
+  const std::uint64_t id = span_id(tls_context.id, name, key);
+  tls_context = {id, child_s};
   return id;
 }
 
@@ -343,23 +345,30 @@ double Tracer::since_epoch_s(
   return std::chrono::duration<double>(t - epoch_).count();
 }
 
-void Tracer::end_span(std::uint64_t id, std::uint64_t parent,
-                      const char* name,
+void Tracer::end_span(std::uint64_t id, SpanContext parent, const char* name,
                       std::chrono::steady_clock::time_point start,
-                      double dur_s, const TraceArg* args,
+                      double dur_s, double children_s, const TraceArg* args,
                       std::size_t num_args) noexcept {
-  tls_current_span = parent;
+  tls_context = parent;
   if (!enabled()) return;
+  if (parent.child_s != nullptr) {
+    parent.child_s->fetch_add(dur_s, std::memory_order_relaxed);
+  }
+  Buffer* buffer = local_buffer();
+  PhaseStat& totals = buffer->totals[name];
+  ++totals.count;
+  totals.total_s += dur_s;
+  totals.self_s += std::max(0.0, dur_s - children_s);
   TraceEvent e;
   e.id = id;
-  e.parent = parent;
+  e.parent = parent.id;
   e.name = name;
   e.start_s = since_epoch_s(start);
   e.dur_s = dur_s;
   e.num_args = static_cast<std::uint8_t>(
       std::min<std::size_t>(num_args, kMaxTraceArgs));
   for (std::uint8_t i = 0; i < e.num_args; ++i) e.args[i] = args[i];
-  local_buffer()->push(e);
+  buffer->push(e);
   if (flight_recorder().enabled()) {
     flight_recorder().record(name, /*instant=*/false, e.start_s + dur_s, args,
                              num_args);
@@ -369,8 +378,10 @@ void Tracer::end_span(std::uint64_t id, std::uint64_t parent,
 void Tracer::instant(const char* name,
                      std::initializer_list<TraceArg> args) noexcept {
   if (!enabled()) return;
+  Buffer* buffer = local_buffer();
+  ++buffer->totals[name].instants;
   TraceEvent e;
-  e.parent = tls_current_span;
+  e.parent = tls_context.id;
   e.name = name;
   e.start_s = since_epoch_s(std::chrono::steady_clock::now());
   e.instant = true;
@@ -378,7 +389,7 @@ void Tracer::instant(const char* name,
     if (e.num_args >= kMaxTraceArgs) break;
     e.args[e.num_args++] = a;
   }
-  local_buffer()->push(e);
+  buffer->push(e);
   if (flight_recorder().enabled()) {
     flight_recorder().record(name, /*instant=*/true, e.start_s, args.begin(),
                              args.size());
@@ -407,6 +418,33 @@ std::uint64_t Tracer::dropped_events() const noexcept {
     if (n > buf->capacity) dropped += n - buf->capacity;
   }
   return dropped;
+}
+
+std::vector<PhaseStat> Tracer::phase_totals() const {
+  std::map<std::string, PhaseStat> by_name;
+  {
+    MutexLock lock(mutex_);
+    for (const auto& buf : buffers_) {
+      for (const auto& [name, t] : buf->totals) {
+        PhaseStat& stat = by_name[name];
+        stat.count += t.count;
+        stat.total_s += t.total_s;
+        stat.self_s += t.self_s;
+        stat.instants += t.instants;
+      }
+    }
+  }
+  std::vector<PhaseStat> out;
+  out.reserve(by_name.size());
+  for (auto& [name, stat] : by_name) {
+    stat.name = name;
+    out.push_back(std::move(stat));
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const PhaseStat& a, const PhaseStat& b) {
+                     return a.self_s > b.self_s;
+                   });
+  return out;
 }
 
 void Tracer::write_chrome_trace(std::ostream& os) const {
@@ -439,36 +477,6 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
 Tracer& tracer() {
   static Tracer instance;
   return instance;
-}
-
-std::vector<PhaseStat> phase_self_times(
-    const std::vector<TraceEventView>& events) {
-  std::unordered_map<std::uint64_t, double> child_sum;
-  for (const TraceEventView& view : events) {
-    const TraceEvent& e = view.event;
-    if (!e.instant && e.parent != 0) child_sum[e.parent] += e.dur_s;
-  }
-  std::map<std::string, PhaseStat> by_name;
-  for (const TraceEventView& view : events) {
-    const TraceEvent& e = view.event;
-    if (e.instant || e.name == nullptr) continue;
-    PhaseStat& stat = by_name[e.name];
-    if (stat.name.empty()) stat.name = e.name;
-    ++stat.count;
-    stat.total_s += e.dur_s;
-    const auto it = child_sum.find(e.id);
-    const double children = it == child_sum.end() ? 0.0 : it->second;
-    stat.self_s += std::max(0.0, e.dur_s - children);
-  }
-  std::vector<PhaseStat> out;
-  out.reserve(by_name.size());
-  for (auto& [name, stat] : by_name) out.push_back(std::move(stat));
-  std::sort(out.begin(), out.end(),
-            [](const PhaseStat& a, const PhaseStat& b) {
-              if (a.self_s != b.self_s) return a.self_s > b.self_s;
-              return a.name < b.name;
-            });
-  return out;
 }
 
 }  // namespace hp::obs

@@ -1,28 +1,28 @@
 #pragma once
-// Hierarchical span tracer: the causal counterpart of the flat histograms
-// in obs/metrics.hpp. Spans form a tree (run → round → propose/evaluate/
-// merge → per-sample → per-attempt) with *stable* IDs — a span's ID is a
-// pure function of (parent ID, name, caller-chosen key), never of thread
-// scheduling — so the span tree of a run is invariant across worker counts
-// even when the timings differ. Thread-local current-span context plus
-// explicit parent capture in parallel::ThreadPool propagate causality
-// across threads.
+// Hierarchical span tracer — the one timing mechanism of the program.
+// Spans form a tree (run → round → propose/evaluate/merge → per-sample →
+// per-attempt) with *stable* IDs — a span's ID is a pure function of
+// (parent ID, name, caller-chosen key), never of thread scheduling — so the
+// span tree of a run is invariant across worker counts even when the
+// timings differ. A thread-local span context, which parallel::ThreadPool
+// carries into its workers, propagates causality across threads.
 //
-// Recording is per-thread into lock-free ring segments (single writer per
-// ring, monotonic release-published cursor; wrapping overwrites the oldest
-// events and counts them as dropped). Export is Chrome trace-event JSON
-// (load the file in Perfetto or chrome://tracing). A separate compact
-// binary flight-recorder ring — every word an atomic, so writers never
-// race and a dump is async-signal-safe — keeps the most recent events for
-// post-mortem dumps on ContractViolation, consecutive-failure abort, or a
-// fatal signal.
+// Two outputs, both fed at end_span()/instant(). Loss-free per-name totals
+// (count, total and self time, instant count) answer "where did the time
+// go" exactly for any run length. Per-thread lock-free ring segments
+// (single writer per ring, monotonic release-published cursor; wrapping
+// overwrites the oldest events and counts them as dropped) keep the
+// recent events for the Chrome trace-event JSON export (load the file in
+// Perfetto or chrome://tracing). A separate compact binary flight-recorder
+// ring — every word an atomic, so writers never race and a dump is
+// async-signal-safe — keeps the most recent events for post-mortem dumps
+// on ContractViolation, consecutive-failure abort, or a fatal signal.
 //
-// Cost contract: disabled tracing is one relaxed atomic load per span (the
-// same guard pattern as ScopedTimer's metrics/logger checks), and tracing
-// is pure read-side like the rest of src/obs — it samples the steady clock
-// and writes its own buffers, never RNG streams, the virtual clock, or
-// evaluation records (DESIGN.md §9), so golden traces stay bit-identical
-// with tracing on.
+// Cost contract: disabled tracing is one relaxed atomic load per span,
+// and tracing is pure read-side like the rest of src/obs — it samples the
+// steady clock and writes its own buffers, never RNG streams, the virtual
+// clock, or evaluation records (DESIGN.md §9), so golden traces stay
+// bit-identical with tracing on.
 
 #include <atomic>
 #include <chrono>
@@ -150,6 +150,28 @@ class FlightRecorder {
 /// The process-wide flight recorder (armed via Tracer::start or directly).
 [[nodiscard]] FlightRecorder& flight_recorder();
 
+/// The open span that new spans and instants on a thread attach to: its
+/// stable id, and the accumulator its direct children add their durations
+/// into (for its self time). parallel_for hands it to pool threads, so a
+/// child there credits the span that forked it. A span outlives every
+/// child that credits it: parallel_for joins before returning.
+struct SpanContext {
+  std::uint64_t id = 0;
+  std::atomic<double>* child_s = nullptr;
+};
+
+/// Loss-free totals of one span/instant name since Tracer::start(): every
+/// event recorded, whatever the rings dropped. Self time is a span's
+/// duration minus the summed durations of its direct children (on any
+/// thread), clamped at 0 per span.
+struct PhaseStat {
+  std::string name;
+  std::size_t count = 0;  ///< spans
+  double total_s = 0.0;
+  double self_s = 0.0;
+  std::size_t instants = 0;
+};
+
 /// The span tracer. start()/stop()/reset() must not run concurrently with
 /// recording; recording itself is lock-free and safe from any thread.
 class Tracer {
@@ -165,23 +187,29 @@ class Tracer {
   /// Drops every buffer (start() also does this).
   void reset();
 
-  /// The calling thread's current span id (0 = no open span).
-  [[nodiscard]] std::uint64_t current_span() const noexcept;
-  /// Sets the calling thread's current span, returning the previous one —
+  /// The calling thread's current span context (id 0 = no open span).
+  [[nodiscard]] SpanContext current_context() const noexcept;
+  /// Sets the calling thread's span context, returning the previous one —
   /// the cross-thread propagation primitive (see ScopedParent).
-  std::uint64_t exchange_current(std::uint64_t span) noexcept;
+  SpanContext exchange_context(SpanContext context) noexcept;
 
   /// Derives the stable id for a span of @p name under the current span
   /// (keyed by @p key to disambiguate same-named siblings — sample index,
-  /// attempt number, round base), makes it current, and returns it.
-  /// Records nothing; the matching end_span() writes the complete event.
-  std::uint64_t begin_span(const char* name, std::uint64_t key) noexcept;
+  /// attempt number, round base), makes it current with @p child_s as
+  /// its children's accumulator, and returns it. Records nothing; the
+  /// matching end_span() writes the complete event.
+  std::uint64_t begin_span(const char* name, std::uint64_t key,
+                           std::atomic<double>* child_s) noexcept;
 
-  /// Records the complete event for a span opened with begin_span() and
-  /// restores @p parent as the thread's current span.
-  void end_span(std::uint64_t id, std::uint64_t parent, const char* name,
+  /// Restores @p parent as the thread's current context and, if tracing
+  /// is on, records the complete event of a span opened with
+  /// begin_span(): into the ring, into @p name's totals (self time
+  /// dur_s - children_s, clamped at 0), and into the parent's child
+  /// accumulator.
+  void end_span(std::uint64_t id, SpanContext parent, const char* name,
                 std::chrono::steady_clock::time_point start, double dur_s,
-                const TraceArg* args, std::size_t num_args) noexcept;
+                double children_s, const TraceArg* args,
+                std::size_t num_args) noexcept;
 
   /// Records a zero-duration instant under the current span.
   void instant(const char* name, std::initializer_list<TraceArg> args) noexcept;
@@ -198,6 +226,11 @@ class Tracer {
   /// Events lost to ring wrapping, summed over all rings.
   [[nodiscard]] std::uint64_t dropped_events() const noexcept;
 
+  /// Per-name totals since start(), merged over threads and sorted by self
+  /// time descending (ties by name). Unlike snapshot() these never drop an
+  /// event. Call only while recording threads are quiescent.
+  [[nodiscard]] std::vector<PhaseStat> phase_totals() const;
+
   /// Writes the snapshot as Chrome trace-event JSON (Perfetto-loadable):
   /// complete "X" events for spans, "i" instants, span/parent ids as hex
   /// strings under args.
@@ -212,9 +245,9 @@ class Tracer {
 
   std::atomic<bool> enabled_{false};
   std::atomic<std::uint64_t> generation_{1};
-  /// Leaf lock (DESIGN.md §14): guards ring registration and snapshot
-  /// iteration only; recording into a registered ring is lock-free. Never
-  /// held while acquiring another hp::Mutex.
+  /// Leaf lock (DESIGN.md §14): guards buffer registration and the
+  /// snapshot/totals iteration only; recording into a registered buffer
+  /// is lock-free. Never held while acquiring another hp::Mutex.
   mutable Mutex mutex_;
   std::vector<std::unique_ptr<Buffer>> buffers_ HP_GUARDED_BY(mutex_);
   std::size_t capacity_ HP_GUARDED_BY(mutex_) = 4;
@@ -231,35 +264,20 @@ class Tracer {
 [[nodiscard]] Tracer& tracer();
 
 /// RAII span-context setter for work executing on behalf of a span opened
-/// on another thread (ThreadPool jobs): makes @p span
-/// the calling thread's current span and restores the previous one on
-/// scope exit. Cheap enough to apply unconditionally (two TLS exchanges).
+/// on another thread (ThreadPool jobs): makes @p context the calling
+/// thread's current one and restores the previous one on scope exit.
+/// Cheap enough to apply unconditionally (two TLS exchanges).
 class ScopedParent {
  public:
-  explicit ScopedParent(std::uint64_t span) noexcept
-      : saved_(tracer().exchange_current(span)) {}
-  ~ScopedParent() { (void)tracer().exchange_current(saved_); }
+  explicit ScopedParent(SpanContext context) noexcept
+      : saved_(tracer().exchange_context(context)) {}
+  ~ScopedParent() { (void)tracer().exchange_context(saved_); }
 
   ScopedParent(const ScopedParent&) = delete;
   ScopedParent& operator=(const ScopedParent&) = delete;
 
  private:
-  std::uint64_t saved_;
+  SpanContext saved_;
 };
-
-/// Per-phase aggregate over a snapshot: total wall time, and self time
-/// (total minus the summed durations of direct children, clamped at 0).
-struct PhaseStat {
-  std::string name;
-  std::size_t count = 0;
-  double total_s = 0.0;
-  double self_s = 0.0;
-};
-
-/// Aggregates spans by name, sorted by self time descending (ties by
-/// name) — the CLI's end-of-run phase table and trace_summarize.py's
-/// cross-check both build on this.
-[[nodiscard]] std::vector<PhaseStat> phase_self_times(
-    const std::vector<TraceEventView>& events);
 
 }  // namespace hp::obs

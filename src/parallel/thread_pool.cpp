@@ -16,9 +16,10 @@ struct ThreadPool::Batch {
   const std::function<void(std::size_t)>* body = nullptr;
   std::size_t n = 0;
   /// Span context of the parallel_for caller, re-established on every
-  /// thread that executes a share so child spans attach to the caller's
-  /// span rather than to whatever ran last on that worker.
-  std::uint64_t trace_parent = 0;
+  /// thread that executes a share so child spans attach to — and credit
+  /// their durations to — the caller's span rather than whatever ran last
+  /// on that worker. The caller's span outlives them: parallel_for joins.
+  obs::SpanContext trace_parent;
   std::atomic<std::size_t> next{0};
 
   // Leaf lock (DESIGN.md §14): guards the completion/error state below and
@@ -83,33 +84,6 @@ void ThreadPool::instrument_job(std::function<void()>& job) {
   };
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> job) {
-  HP_REQUIRE(job != nullptr, "ThreadPool::submit: null job");
-  auto task = std::make_shared<std::packaged_task<void()>>(std::move(job));
-  std::future<void> future = task->get_future();
-  if (workers_.empty()) {
-    (*task)();
-    return future;
-  }
-  std::function<void()> wrapped = [task] { (*task)(); };
-  if (obs::tracer().enabled()) {
-    // Cross-thread causality: the job runs under the submitter's span.
-    wrapped = [parent = obs::tracer().current_span(),
-               inner = std::move(wrapped)] {
-      obs::ScopedParent scope(parent);
-      inner();
-    };
-  }
-  instrument_job(wrapped);
-  {
-    MutexLock lock(queue_mutex_);
-    HP_ASSERT(!stopping_, "ThreadPool::submit during shutdown");
-    queue_.emplace_back(std::move(wrapped));
-  }
-  queue_cv_.notify_one();
-  return future;
-}
-
 void ThreadPool::run_batch_share(const std::shared_ptr<Batch>& batch) {
   HP_ASSERT(batch != nullptr && batch->body != nullptr,
             "ThreadPool batch without a body");
@@ -150,7 +124,7 @@ void ThreadPool::parallel_for(std::size_t n,
   batch->body = &body;
   batch->n = n;
   if (obs::tracer().enabled()) {
-    batch->trace_parent = obs::tracer().current_span();
+    batch->trace_parent = obs::tracer().current_context();
   }
 
   if (workers_.empty() || n == 1) {

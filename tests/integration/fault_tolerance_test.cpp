@@ -1,16 +1,20 @@
-// Acceptance tests for the fault-tolerant evaluation pipeline (ISSUE 4):
+// Acceptance tests for the fault-tolerant evaluation pipeline:
 //   1. a run with injected transient faults and periodic sensor failures
 //      completes, recording every candidate exactly once;
 //   2. a run killed mid-way and resumed from its journal produces a
-//      bit-identical final trace (and journal) vs an uninterrupted run.
+//      bit-identical final trace (and journal) vs an uninterrupted run;
+//   3. a damaged journal either resumes from exactly the records before
+//      the damage or is refused untouched — never silently shortened.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -40,6 +44,11 @@ std::string trace_csv(const RunTrace& trace) {
 std::string file_contents(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
 }
 
 std::string temp_path(const std::string& name) {
@@ -250,6 +259,102 @@ TEST(FaultTolerance, ResumeRejectsMismatchedRecords) {
   EvaluationEngine resumed(space, b_inner, {}, nullptr, base_options(17, 8), b);
   EXPECT_THROW((void)resumed.resume(reference.trace.records()),
                std::runtime_error);
+}
+
+/// Sweeps damaged copies of a finished run's journal through the resume
+/// policy: every truncation, and every single-bit flip. A case that loads
+/// must hold exactly the records before the damage, and resuming from
+/// them must reproduce the uninterrupted run; damage anywhere before the
+/// final line must be refused, with the file left as it was.
+TEST(FaultTolerance, DamagedJournalResumesFromItsValidPrefixOrIsRefused) {
+  const HyperParameterSpace space = fake_space();
+  OptimizerOptions options = base_options(21, 4);
+  const std::string clean_path = temp_path("journal_sweep_clean.hpj");
+  const std::string damaged_path = temp_path("journal_sweep_damaged.hpj");
+  const std::string resumed_path = temp_path("journal_sweep_resumed.hpj");
+  options.journal_path = clean_path;
+  FakeObjective reference_objective(space);
+  RandomSearchProposer reference_proposer(space);
+  const std::string reference_csv = trace_csv(
+      EvaluationEngine(space, reference_objective, {}, nullptr, options,
+                       reference_proposer)
+          .run()
+          .trace);
+  const std::string clean = file_contents(clean_path);
+  const std::vector<EvaluationRecord> records =
+      EvalJournal::load(clean_path).records;
+  const JournalHeader header{reference_proposer.name(), options.seed,
+                             options.batch_size};
+
+  // Offsets of the '\n' ending each line: header, records, epilogue.
+  std::vector<std::size_t> line_end;
+  for (std::size_t i = 0; i < clean.size(); ++i) {
+    if (clean[i] == '\n') line_end.push_back(i);
+  }
+  const std::size_t n = records.size();
+  ASSERT_EQ(n, 4u);
+  ASSERT_EQ(line_end.size(), n + 2);
+
+  std::set<std::size_t> prefixes_resumed;
+  // nullopt expected_prefix: the damage must be refused.
+  const auto check = [&](const std::string& bytes,
+                         std::optional<std::size_t> expected_prefix,
+                         const std::string& what) {
+    write_file(damaged_path, bytes);
+    std::optional<JournalLoadResult> loaded;
+    try {
+      loaded = load_journal_for_resume(damaged_path, header);
+    } catch (const std::invalid_argument&) {
+      EXPECT_FALSE(expected_prefix.has_value()) << what << ": refused";
+      EXPECT_EQ(file_contents(damaged_path), bytes) << what;
+      return;
+    }
+    ASSERT_TRUE(expected_prefix.has_value()) << what << ": not refused";
+    ASSERT_TRUE(loaded.has_value()) << what;
+    ASSERT_EQ(loaded->records.size(), *expected_prefix) << what;
+    for (std::size_t i = 0; i < *expected_prefix; ++i) {
+      ASSERT_EQ(format_record_line(loaded->records[i]),
+                format_record_line(records[i]))
+          << what << ": record " << i;
+    }
+    if (!prefixes_resumed.insert(*expected_prefix).second) return;
+    OptimizerOptions resumed_options = options;
+    resumed_options.journal_path = resumed_path;
+    FakeObjective objective(space);
+    RandomSearchProposer proposer(space);
+    const RunResult resumed = EvaluationEngine(space, objective, {}, nullptr,
+                                               resumed_options, proposer)
+                                  .resume(loaded->records);
+    EXPECT_EQ(trace_csv(resumed.trace), reference_csv) << what;
+    EXPECT_EQ(file_contents(resumed_path), clean) << what;
+  };
+
+  for (std::size_t k = 0; k < clean.size(); ++k) {
+    // Truncation only ever tears the final line, so once the header is
+    // whole every record line ending at or before k survives.
+    std::optional<std::size_t> expected;
+    if (k >= line_end[0]) {
+      std::size_t whole = 0;
+      while (whole < n && line_end[whole + 1] <= k) ++whole;
+      expected = whole;
+    }
+    check(clean.substr(0, k), expected, "truncated at " + std::to_string(k));
+  }
+  for (std::size_t p = 0; p < clean.size(); ++p) {
+    std::string bytes = clean;
+    bytes[p] = static_cast<char>(bytes[p] ^ 0x01);
+    // Only the epilogue is a final line: damage before it is mid-file,
+    // except a flipped newline that merges the last record into it.
+    std::optional<std::size_t> expected;
+    if (p == line_end[n]) expected = n - 1;
+    if (p > line_end[n]) expected = n;
+    check(bytes, expected, "bit flipped at " + std::to_string(p));
+  }
+  EXPECT_EQ(prefixes_resumed.size(), n + 1);
+
+  std::remove(clean_path.c_str());
+  std::remove(damaged_path.c_str());
+  std::remove(resumed_path.c_str());
 }
 
 }  // namespace

@@ -117,16 +117,16 @@ TEST(ObsConcurrencyTest, RegistryLookupsRaceSafely) {
 }
 
 TEST(ObsConcurrencyTest, ScopedTimersRecordFromWorkers) {
-  // ScopedTimer reads the global logger()/metrics() enable flags; leave
-  // them untouched (disabled) and drive the histogram directly through a
-  // registry-enabled path to keep this test hermetic.
+  // ScopedTimer reads the global tracer() enable flag; leave it untouched
+  // (disabled) and drive the histogram directly through a registry-enabled
+  // path to keep this test hermetic.
   MetricsRegistry reg;
   reg.set_enabled(true);
   Histogram& spans = reg.histogram("test.span_s", duration_buckets());
 
   parallel::ThreadPool pool(7);
   pool.parallel_for(kTasks, [&](std::size_t) {
-    // The global registry is disabled, so the timer itself stays dark;
+    // The global tracer is disabled, so the timer itself stays dark;
     // this mirrors how instrumented layers behave with obs off while the
     // local registry records the span length.
     ScopedTimer dark("test.noop");

@@ -2,13 +2,14 @@
 // stable span-id derivation, current-span context restoration, ring
 // wrap/truncation accounting, Chrome-trace JSON escaping (same hostile
 // strings as the JSONL sink fixtures in log_test.cpp), flight-recorder
-// dumps on an injected ContractViolation, and phase_self_times.
+// dumps on an injected ContractViolation, and the per-name phase totals.
 
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -37,14 +38,45 @@ class TracerOn {
   TracerOn& operator=(const TracerOn&) = delete;
 };
 
+/// Closes a span opened with begin_span() under @p parent, zero-length.
+void end_span(std::uint64_t id, std::uint64_t parent, const char* name) {
+  tracer().end_span(id, {parent, nullptr}, name,
+                    std::chrono::steady_clock::now(), /*dur_s=*/0.0,
+                    /*children_s=*/0.0, nullptr, 0);
+}
+
 /// Opens and immediately closes a span, returning its id.
 std::uint64_t record_span(const char* name, std::uint64_t key) {
-  const std::uint64_t parent = tracer().current_span();
-  const std::uint64_t id = tracer().begin_span(name, key);
-  tracer().end_span(id, parent, name, std::chrono::steady_clock::now(),
-                    /*dur_s=*/0.0, nullptr, 0);
+  const std::uint64_t parent = tracer().current_context().id;
+  const std::uint64_t id = tracer().begin_span(name, key, nullptr);
+  end_span(id, parent, name);
   return id;
 }
+
+/// A span of a fixed, caller-chosen duration whose children credit it
+/// like a ScopedTimer's do — for exact self-time arithmetic in tests.
+class SyntheticSpan {
+ public:
+  SyntheticSpan(const char* name, std::uint64_t key, double dur_s)
+      : name_(name),
+        dur_s_(dur_s),
+        parent_(tracer().current_context()),
+        id_(tracer().begin_span(name, key, &child_s_)) {}
+  ~SyntheticSpan() {
+    tracer().end_span(id_, parent_, name_, std::chrono::steady_clock::now(),
+                      dur_s_, child_s_.load(), nullptr, 0);
+  }
+
+  SyntheticSpan(const SyntheticSpan&) = delete;
+  SyntheticSpan& operator=(const SyntheticSpan&) = delete;
+
+ private:
+  const char* name_;
+  double dur_s_;
+  std::atomic<double> child_s_{0.0};
+  SpanContext parent_;
+  std::uint64_t id_;
+};
 
 TEST(TraceIdTest, IdsAreStableAcrossRestartsAndDistinctPerPosition) {
   std::uint64_t first_a = 0;
@@ -54,10 +86,9 @@ TEST(TraceIdTest, IdsAreStableAcrossRestartsAndDistinctPerPosition) {
     TracerOn on;
     first_a = record_span("phase.a", 1);
     first_b = record_span("phase.a", 2);
-    const std::uint64_t outer = tracer().begin_span("phase.outer", 0);
+    const std::uint64_t outer = tracer().begin_span("phase.outer", 0, nullptr);
     first_child = record_span("phase.a", 1);
-    tracer().end_span(outer, 0, "phase.outer",
-                      std::chrono::steady_clock::now(), 0.0, nullptr, 0);
+    end_span(outer, 0, "phase.outer");
   }
   // Same (parent, name, key) => same id; any coordinate change => new id.
   EXPECT_NE(first_a, 0u);
@@ -73,29 +104,26 @@ TEST(TraceIdTest, IdsAreStableAcrossRestartsAndDistinctPerPosition) {
 
 TEST(TraceIdTest, BeginSpanMakesSpanCurrentAndEndSpanRestoresParent) {
   TracerOn on;
-  EXPECT_EQ(tracer().current_span(), 0u);
-  const std::uint64_t outer = tracer().begin_span("phase.outer", 0);
-  EXPECT_EQ(tracer().current_span(), outer);
-  const std::uint64_t inner = tracer().begin_span("phase.inner", 0);
-  EXPECT_EQ(tracer().current_span(), inner);
-  tracer().end_span(inner, outer, "phase.inner",
-                    std::chrono::steady_clock::now(), 0.0, nullptr, 0);
-  EXPECT_EQ(tracer().current_span(), outer);
-  tracer().end_span(outer, 0, "phase.outer", std::chrono::steady_clock::now(),
-                    0.0, nullptr, 0);
-  EXPECT_EQ(tracer().current_span(), 0u);
+  EXPECT_EQ(tracer().current_context().id, 0u);
+  const std::uint64_t outer = tracer().begin_span("phase.outer", 0, nullptr);
+  EXPECT_EQ(tracer().current_context().id, outer);
+  const std::uint64_t inner = tracer().begin_span("phase.inner", 0, nullptr);
+  EXPECT_EQ(tracer().current_context().id, inner);
+  end_span(inner, outer, "phase.inner");
+  EXPECT_EQ(tracer().current_context().id, outer);
+  end_span(outer, 0, "phase.outer");
+  EXPECT_EQ(tracer().current_context().id, 0u);
 }
 
 TEST(TraceIdTest, ScopedParentExchangesAndRestoresContext) {
   TracerOn on;
-  const std::uint64_t outer = tracer().begin_span("phase.outer", 0);
+  const std::uint64_t outer = tracer().begin_span("phase.outer", 0, nullptr);
   {
-    const ScopedParent adopted(1234);
-    EXPECT_EQ(tracer().current_span(), 1234u);
+    const ScopedParent adopted({1234, nullptr});
+    EXPECT_EQ(tracer().current_context().id, 1234u);
   }
-  EXPECT_EQ(tracer().current_span(), outer);
-  tracer().end_span(outer, 0, "phase.outer", std::chrono::steady_clock::now(),
-                    0.0, nullptr, 0);
+  EXPECT_EQ(tracer().current_context().id, outer);
+  end_span(outer, 0, "phase.outer");
 }
 
 TEST(ScopedTimerTest, NestedTimersRecordParentLinkedSpans) {
@@ -103,7 +131,7 @@ TEST(ScopedTimerTest, NestedTimersRecordParentLinkedSpans) {
   {
     ScopedTimer outer("test.outer");
     {
-      ScopedTimer inner("test.inner", nullptr, LogLevel::kTrace, 7);
+      ScopedTimer inner("test.inner", 7);
       inner.trace_arg({"sample", 7});
     }
   }
@@ -131,7 +159,7 @@ TEST(ScopedTimerTest, DisabledTracerRecordsNothing) {
     ScopedTimer timer("test.disabled");
     timer.trace_arg({"sample", 1});
   }
-  EXPECT_EQ(tracer().current_span(), 0u);
+  EXPECT_EQ(tracer().current_context().id, 0u);
   EXPECT_TRUE(tracer().snapshot().empty());
   EXPECT_EQ(tracer().dropped_events(), 0u);
 }
@@ -251,24 +279,22 @@ TEST(FlightRecorderTest, TracerForwardsSpansWhenArmed) {
 }
 
 TEST(PhaseSelfTimesTest, SubtractsDirectChildrenAndSortsBySelfTime) {
-  std::vector<TraceEventView> events;
-  const auto push = [&events](std::uint64_t id, std::uint64_t parent,
-                              const char* name, double dur_s) {
-    TraceEventView view;
-    view.event.id = id;
-    view.event.parent = parent;
-    view.event.name = name;
-    view.event.dur_s = dur_s;
-    events.push_back(view);
-  };
-  push(1, 0, "run", 10.0);
-  push(2, 1, "round", 4.0);
-  push(3, 1, "round", 4.0);
-  push(4, 2, "eval", 3.5);
-  push(5, 3, "eval", 1.0);
+  TracerOn on;
+  {
+    SyntheticSpan run("run", 0, 10.0);
+    {
+      SyntheticSpan round("round", 1, 4.0);
+      SyntheticSpan eval("eval", 1, 3.5);
+    }
+    {
+      SyntheticSpan round("round", 2, 4.0);
+      SyntheticSpan eval("eval", 2, 1.0);
+    }
+  }
+  tracer().instant("ping", {});
 
-  const std::vector<PhaseStat> stats = phase_self_times(events);
-  ASSERT_EQ(stats.size(), 3u);
+  const std::vector<PhaseStat> stats = tracer().phase_totals();
+  ASSERT_EQ(stats.size(), 4u);
   EXPECT_EQ(stats[0].name, "eval");  // 4.5 s self, no children
   EXPECT_EQ(stats[0].count, 2u);
   EXPECT_DOUBLE_EQ(stats[0].total_s, 4.5);
@@ -277,25 +303,37 @@ TEST(PhaseSelfTimesTest, SubtractsDirectChildrenAndSortsBySelfTime) {
   EXPECT_DOUBLE_EQ(stats[1].self_s, 3.5);
   EXPECT_EQ(stats[2].name, "run");  // 10 - 8 = 2 s self
   EXPECT_DOUBLE_EQ(stats[2].self_s, 2.0);
+  EXPECT_EQ(stats[3].name, "ping");  // instants carry no time
+  EXPECT_EQ(stats[3].count, 0u);
+  EXPECT_EQ(stats[3].instants, 1u);
 }
 
 TEST(PhaseSelfTimesTest, ClampsNegativeSelfTimeToZero) {
-  std::vector<TraceEventView> events;
-  TraceEventView parent;
-  parent.event.id = 1;
-  parent.event.name = "short";
-  parent.event.dur_s = 1.0;
-  TraceEventView child;
-  child.event.id = 2;
-  child.event.parent = 1;
-  child.event.name = "long";
-  child.event.dur_s = 2.0;  // clock-skewed child longer than its parent
-  events.push_back(parent);
-  events.push_back(child);
-  const std::vector<PhaseStat> stats = phase_self_times(events);
+  TracerOn on;
+  {
+    SyntheticSpan parent("short", 0, 1.0);
+    SyntheticSpan child("long", 0, 2.0);  // e.g. parallel children
+  }
+  const std::vector<PhaseStat> stats = tracer().phase_totals();
   ASSERT_EQ(stats.size(), 2u);
   EXPECT_EQ(stats[0].name, "long");
+  EXPECT_EQ(stats[1].name, "short");
+  EXPECT_DOUBLE_EQ(stats[1].total_s, 1.0);
   EXPECT_DOUBLE_EQ(stats[1].self_s, 0.0);
+}
+
+TEST(PhaseSelfTimesTest, TotalsSurviveRingWrapping) {
+  TraceConfig config;
+  config.ring_kb = 1;  // a handful of events per thread
+  TracerOn on(config);
+  constexpr std::uint64_t kSpans = 1000;
+  for (std::uint64_t i = 0; i < kSpans; ++i) {
+    ScopedTimer span("test.wrapped", i);
+  }
+  ASSERT_GT(tracer().dropped_events(), 0u);
+  const std::vector<PhaseStat> stats = tracer().phase_totals();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].count, kSpans);
 }
 
 }  // namespace

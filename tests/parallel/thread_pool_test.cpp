@@ -75,34 +75,6 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
   EXPECT_EQ(total.load(), 16);
 }
 
-TEST(ThreadPoolTest, SubmitRunsJobAndFutureCompletes) {
-  ThreadPool pool(2);
-  std::atomic<bool> ran{false};
-  auto done = pool.submit([&] { ran = true; });
-  done.get();
-  EXPECT_TRUE(ran.load());
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesException) {
-  ThreadPool pool(1);
-  auto done = pool.submit([] { throw std::logic_error("submit-boom"); });
-  EXPECT_THROW(done.get(), std::logic_error);
-}
-
-TEST(ThreadPoolTest, SubmitFromInsideTask) {
-  // A task may enqueue follow-up work (without blocking on it) — the queue
-  // must accept jobs from worker threads.
-  ThreadPool pool(2);
-  std::atomic<bool> inner_ran{false};
-  std::future<void> inner;
-  auto outer = pool.submit([&] {
-    inner = pool.submit([&] { inner_ran = true; });
-  });
-  outer.get();
-  inner.get();
-  EXPECT_TRUE(inner_ran.load());
-}
-
 TEST(ThreadPoolTest, StressManySmallBatches) {
   // Many short batches from the same pool: exercises the wakeup/drain path
   // that ThreadSanitizer cares about (see tests/README.md).

@@ -294,6 +294,47 @@ class BenchCompareTest(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertIn("VIOLATION", out)
 
+    def _write_counter_invariant(self, min_ratio):
+        (self.baseline / "tracked.json").write_text(json.dumps({
+            "invariants": [{
+                "file": "BENCH_a.json",
+                "run": "BM_Paired_median",
+                "counter": "bare_over_dark",
+                "min_ratio": min_ratio,
+            }]}))
+
+    def _write_paired_bench(self, directory, counters):
+        (directory / "BENCH_a.json").write_text(json.dumps({
+            "bench": "x",
+            "runs": [{"name": "BM_Paired_median", "iterations": 10,
+                      "real_time": 100.0, "cpu_time": 100.0,
+                      "time_unit": "ns", "counters": counters}]}))
+
+    def test_counter_invariant_satisfied(self):
+        self._write_paired_bench(self.baseline, {"bare_over_dark": 1.0})
+        self._write_paired_bench(self.current, {"bare_over_dark": 0.995})
+        self._write_counter_invariant(0.98)
+        code, out, _ = run_compare(self.args())
+        self.assertEqual(code, 0)
+        self.assertIn("BM_Paired_median[bare_over_dark] = 0.995x", out)
+
+    def test_counter_invariant_violation_fails(self):
+        self._write_paired_bench(self.baseline, {"bare_over_dark": 1.0})
+        self._write_paired_bench(self.current, {"bare_over_dark": 0.9})
+        self._write_counter_invariant(0.98)
+        code, out, err = run_compare(self.args())
+        self.assertEqual(code, 1)
+        self.assertIn("VIOLATION", out)
+        self.assertIn("bare_over_dark", err)
+
+    def test_counter_invariant_missing_counter_is_error(self):
+        self._write_paired_bench(self.baseline, {})
+        self._write_paired_bench(self.current, {"other": 1.0})
+        self._write_counter_invariant(0.98)
+        code, _, err = run_compare(self.args())
+        self.assertEqual(code, 2)
+        self.assertIn("no positive counter 'bare_over_dark'", err)
+
     def test_invariant_without_any_bound_is_error(self):
         write_bench(self.baseline, "BENCH_a.json",
                     {"BM_Fleet/1": 120.0, "BM_InProc": 100.0})

@@ -24,7 +24,11 @@ Checks, in order:
    ratios, evaluated on the *current* files only. Each invariant carries
    min_ratio and/or max_ratio bounds — a floor pins a speedup that must
    persist (e.g. full GP refit over incremental refit >= 5x at n=200), a
-   ceiling caps an overhead (e.g. fleet round over in-process round).
+   ceiling caps an overhead (e.g. fleet round over in-process round). The
+   ratio is either numerator/denominator, two runs' real_time, or a
+   ratio one benchmark measured itself and reported as a user counter
+   ("run" + "counter": e.g. a paired measurement that interleaves both
+   variants, so machine drift between two runs cannot move it).
 
 Exit codes:
   0  no regression (missing baseline files only produce warnings)
@@ -120,6 +124,18 @@ def load_runs(path: Path) -> dict[str, float]:
     return out
 
 
+def load_counter(path: Path, run_name: str, counter: str) -> float:
+    """One run's positive user counter from a BENCH_*.json file."""
+    for run in load_doc(path).get("runs") or []:
+        if isinstance(run, dict) and run.get("name") == run_name:
+            value = (run.get("counters") or {}).get(counter)
+            if not isinstance(value, (int, float)) or value <= 0:
+                raise CompareError(f"{path}: run '{run_name}' has no "
+                                   f"positive counter '{counter}'")
+            return float(value)
+    raise CompareError(f"{path}: invariant run '{run_name}' not present")
+
+
 def normalize(runs: dict[str, float], reference: str,
               path: Path) -> dict[str, float]:
     if reference not in runs:
@@ -156,6 +172,12 @@ def compare_file(baseline: dict[str, float], current: dict[str, float],
     return regressions
 
 
+def format_bound(bound) -> str:
+    """One decimal (5.0), or every digit a finer bound needs (0.98)."""
+    value = float(bound)
+    return f"{value:.1f}" if round(value, 1) == value else f"{value:g}"
+
+
 def check_invariants(tracked_path: Path, current_dir: Path) -> list[str]:
     """Evaluates tracked.json ratio invariants on the current snapshots."""
     if not tracked_path.exists():
@@ -169,41 +191,46 @@ def check_invariants(tracked_path: Path, current_dir: Path) -> list[str]:
     for inv in invariants:
         try:
             file_name = inv["file"]
-            numerator = inv["numerator"]
-            denominator = inv["denominator"]
+            if "counter" in inv:
+                label = f"{inv['run']}[{inv['counter']}]"
+            else:
+                label = f"{inv['numerator']}/{inv['denominator']}"
         except (TypeError, KeyError) as exc:
             raise CompareError(f"{tracked_path}: invariant missing key: {exc}")
         min_ratio = inv.get("min_ratio")
         max_ratio = inv.get("max_ratio")
         if min_ratio is None and max_ratio is None:
             raise CompareError(
-                f"{tracked_path}: invariant {numerator}/{denominator} needs "
+                f"{tracked_path}: invariant {label} needs "
                 "min_ratio and/or max_ratio")
         current_file = current_dir / file_name
         if not current_file.exists():
-            print(f"WARNING    invariant {numerator}/{denominator}: "
+            print(f"WARNING    invariant {label}: "
                   f"{file_name} not in current dir, skipped")
             continue
-        runs = load_runs(current_file)
-        for required in (numerator, denominator):
-            if required not in runs:
-                raise CompareError(
-                    f"{current_file}: invariant run '{required}' not present")
-        ratio = runs[numerator] / runs[denominator]
+        if "counter" in inv:
+            ratio = load_counter(current_file, inv["run"], inv["counter"])
+        else:
+            runs = load_runs(current_file)
+            for required in (inv["numerator"], inv["denominator"]):
+                if required not in runs:
+                    raise CompareError(f"{current_file}: invariant run "
+                                       f"'{required}' not present")
+            ratio = runs[inv["numerator"]] / runs[inv["denominator"]]
         bounds = []
         violated = False
         if min_ratio is not None:
-            bounds.append(f">= {float(min_ratio):.1f}x")
+            bounds.append(f">= {format_bound(min_ratio)}x")
             violated = violated or ratio < float(min_ratio)
         if max_ratio is not None:
-            bounds.append(f"<= {float(max_ratio):.1f}x")
+            bounds.append(f"<= {format_bound(max_ratio)}x")
             violated = violated or ratio > float(max_ratio)
         status = "VIOLATION " if violated else "OK        "
-        print(f"{status} invariant {numerator} / {denominator} = "
-              f"{ratio:.1f}x (required {' and '.join(bounds)})")
+        print(f"{status} invariant {label} = "
+              f"{ratio:.3f}x (required {' and '.join(bounds)})")
         if violated:
             violations.append(
-                f"{file_name}: {numerator}/{denominator} = {ratio:.1f}x "
+                f"{file_name}: {label} = {ratio:.3f}x "
                 f"outside [{' , '.join(bounds)}]")
     return violations
 

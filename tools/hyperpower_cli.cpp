@@ -19,11 +19,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <mutex>
+#include <utility>
 
 #include <signal.h>
 #include <unistd.h>
@@ -70,13 +70,14 @@ observability (any command):
   --log-level L   stderr log verbosity: trace|debug|info|warn|error|off
                   (default warn)
   --log-file P    write every event >= the log level as JSON lines to P
-  --metrics P     collect counters/histograms, write them as JSON to P
+  --metrics P     collect counters/histograms (counts and sizes), write
+                  them as JSON to P; phase durations come from --trace-out
   --progress      force the live progress line (optimize; default on a tty)
   --quiet         suppress the live progress line
   --trace-out P   record a causal span trace of the run and write it to P
                   as Chrome trace-event JSON (load in Perfetto or
-                  chrome://tracing); optimize also prints a per-phase
-                  self-time table
+                  chrome://tracing); optimize also prints an exact
+                  per-phase self-time table
   --trace-ring-kb K
                   per-thread trace ring capacity in KiB (default 1024;
                   wrapping drops the oldest spans)
@@ -88,7 +89,9 @@ observability (any command):
 exit codes:
   0  success (optimize: a best feasible configuration was found)
   1  no feasible configuration found, contract violation, or internal error
-  2  bad arguments
+  2  bad arguments, or a --resume journal that cannot be resumed (damaged
+     before its final line, another format, another method/seed/batch);
+     the journal is left untouched
   3  run aborted after repeated evaluation failures
 )");
   return 2;
@@ -493,37 +496,28 @@ int cmd_optimize(const cli::Args& args) {
     obs::logger().add_sink(progress, obs::LogLevel::kInfo);
   }
 
-  // --resume: replay the journal's completed evaluations, then continue.
-  // A missing or unreadable journal degrades to a fresh run (with a
-  // warning) so restart scripts can pass --resume unconditionally.
-  std::optional<core::JournalLoadResult> journal;
-  if (args.has("resume")) {
-    try {
-      journal = core::EvalJournal::load(options.journal_path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "warning: cannot resume from %s (%s); "
-                   "starting a fresh run\n",
-                   options.journal_path.c_str(), e.what());
-    }
-  }
   const std::unique_ptr<core::Proposer> proposer =
       core::make_proposer(method, stack->problem.space());
+  // --resume: replay the journal's completed evaluations, then continue. A
+  // missing journal starts a fresh run, so restart scripts can pass
+  // --resume unconditionally; a journal that exists but cannot be resumed
+  // is refused (exit 2) before anything rewrites it.
+  std::optional<core::JournalLoadResult> journal;
+  if (args.has("resume")) {
+    journal = core::load_journal_for_resume(
+        options.journal_path,
+        {proposer->name(), options.seed, options.batch_size});
+    if (!journal) {
+      std::fprintf(stderr, "note: no journal at %s; starting a fresh run\n",
+                   options.journal_path.c_str());
+    }
+  }
   core::EvaluationEngine engine(stack->problem.space(),
                                 stack->search_objective(), stack->budgets,
                                 framework.apriori_constraints(options),
                                 options, *proposer);
   core::RunResult result;
   if (journal) {
-    if (journal->header.method != proposer->name() ||
-        journal->header.seed != options.seed ||
-        journal->header.batch_size != options.batch_size) {
-      throw std::invalid_argument(
-          "--resume: journal " + options.journal_path +
-          " was written by " + journal->header.method + "/seed " +
-          std::to_string(journal->header.seed) + "/batch " +
-          std::to_string(journal->header.batch_size) +
-          ", which does not match this invocation");
-    }
     if (journal->complete()) {
       std::fprintf(stderr,
                    "note: journal %s is finalized (study state \"%s\", "
@@ -603,20 +597,18 @@ int cmd_optimize(const cli::Args& args) {
     std::printf("no feasible configuration found\n");
   }
   if (obs::tracer().enabled()) {
-    // The run is over and the pool joined, so the rings are quiescent and
-    // safe to snapshot.
-    const std::vector<obs::TraceEventView> events = obs::tracer().snapshot();
-    const std::vector<obs::PhaseStat> phases = obs::phase_self_times(events);
+    // The run is over and the pool joined, so the tracer is quiescent. Its
+    // per-name totals are exact however many events the rings dropped.
     std::size_t retry_instants = 0;
     std::size_t fault_instants = 0;
-    for (const obs::TraceEventView& view : events) {
-      if (!view.event.instant || view.event.name == nullptr) continue;
-      if (std::strcmp(view.event.name, "eval.retry") == 0 ||
-          std::strcmp(view.event.name, "eval.failed") == 0) {
-        ++retry_instants;
-      } else if (std::strcmp(view.event.name, "fault.injected") == 0) {
-        ++fault_instants;
+    std::vector<obs::PhaseStat> phases;
+    for (obs::PhaseStat& p : obs::tracer().phase_totals()) {
+      if (p.name == "eval.retry" || p.name == "eval.failed") {
+        retry_instants += p.instants;
+      } else if (p.name == "fault.injected") {
+        fault_instants += p.instants;
       }
+      if (p.count > 0) phases.push_back(std::move(p));
     }
     const std::size_t shown = std::min<std::size_t>(phases.size(), 10);
     std::printf("\ntrace phases (top %zu by self time)\n", shown);
@@ -691,7 +683,8 @@ int main(int argc, char** argv) {
     }
     return 1;
   } catch (const std::invalid_argument& e) {
-    // Bad arguments (unknown flags, malformed values, mismatched journal).
+    // Bad arguments (unknown flags, malformed values, a journal --resume
+    // refuses).
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   } catch (const std::exception& e) {

@@ -9,7 +9,10 @@ and answers "where did the run's wall time actually go":
                     segments partition the root duration exactly, so their
                     sum always lands within a rounding error of wall time
   --phases          per-phase aggregation (count, total, self time), the
-                    same numbers the CLI prints at end of run
+                    CLI end-of-run table's definition applied to the
+                    events in the file; the CLI's table is exact, this
+                    one is only as complete as the trace ring that wrote
+                    the file (see its "dropped" count)
   --timeline        chronological listing of retry/failure/backoff/fault
                     instants with their parent span
   --slowest K       top-K slowest evaluation spans (default phase
@@ -172,7 +175,7 @@ def critical_path(root):
 
 
 def phase_stats(spans):
-    """Per-phase (count, total, self) like obs::phase_self_times."""
+    """Per-phase (count, total, self) like obs::Tracer::phase_totals."""
     child_sum = defaultdict(float)
     for s in spans:
         for c in s.children:
