@@ -7,8 +7,6 @@
 
 #include <sched.h>
 
-#include "obs/metrics.hpp"
-
 namespace hp::bench {
 
 /// The commit the benches were built from: "<sha>", "<sha>-dirty" or
@@ -79,9 +77,6 @@ std::string BenchReport::output_dir() {
 }
 
 std::string BenchReport::write() {
-  if (obs::metrics().enabled()) {
-    root_["metrics"] = obs::metrics().to_json();
-  }
   const std::string path = output_dir() + "/BENCH_" + name_ + ".json";
   std::ofstream os(path);
   if (!os) {

@@ -59,8 +59,8 @@ core::EvaluationRecord synthetic_record(
 }
 
 // The pre-refactor engine round, inlined: per-sample proposal streams,
-// then the classify → timestamp → observe_sample → proposer.observe →
-// commit sequence the old run loop performed for every finished sample.
+// then the classify → timestamp → observe_sample → commit →
+// proposer.observe sequence Study::tell performs for every finished sample.
 // (Direct Proposer/RunRecorder mutation is confined to core::Study in
 // library code by the study-ask-tell lint rule; this bench IS the
 // measurement of that confinement's cost, so it replicates the raw
@@ -94,9 +94,8 @@ void BM_DirectBookkeepingRound(benchmark::State& state) {
             record.measured_power_w, record.measured_memory_mb);
         clock.advance(record.cost_s);
         record.timestamp_s = clock.now_s();
-        recorder.observe_sample(record, core::RunRecorder::SampleMode::kLive);
-        proposer.observe(record);
-        benchmark::DoNotOptimize(recorder.commit(
+        recorder.observe_sample(record);
+        proposer.observe(recorder.commit(
             std::move(record), core::RunRecorder::SampleMode::kLive));
       }
     }

@@ -12,16 +12,6 @@ namespace hp::core {
 
 namespace {
 
-/// BO-phase instrument (constant liars); process-global, fetched once.
-struct BoMetrics {
-  obs::Counter& constant_liar_fills;
-
-  static BoMetrics& get() {
-    static BoMetrics m{obs::metrics().counter("bo.constant_liar_fills")};
-    return m;
-  }
-};
-
 linalg::Matrix rows_to_matrix(const std::vector<std::vector<double>>& rows) {
   linalg::Matrix m(rows.size(), rows.empty() ? 0 : rows[0].size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -102,9 +92,6 @@ std::vector<Configuration> BayesOptProposer::propose_batch(
     // Lie that the pending candidate came back at the incumbent error;
     // posterior-only refit (no kernel ML) keeps this cheap and exactly
     // reversible.
-    if (obs::metrics().enabled()) {
-      BoMetrics::get().constant_liar_fills.add(1);
-    }
     obs::ScopedTimer lie_span("bo.constant_liar_fill", obs_y_.size());
     obs_x_.push_back(space().encode(config));
     obs_y_.push_back(best_feasible_y_);

@@ -14,16 +14,6 @@ namespace hp::core {
 
 namespace {
 
-/// Driver-phase instrument; process-global, fetched once.
-struct DriverMetrics {
-  obs::Counter& rounds;
-
-  static DriverMetrics& get() {
-    static DriverMetrics instance{obs::metrics().counter("optimizer.rounds")};
-    return instance;
-  }
-};
-
 /// The in-process dispatcher: evaluates a round's jobs on the shared
 /// thread pool through the exact seam the process fleet implements
 /// (core/dispatch.hpp), so batched-ThreadPool mode and fleet mode are the
@@ -136,7 +126,6 @@ RunResult EvaluationEngine::run_impl(
     const std::size_t round_base = study_.next_sample_index();
     obs::ScopedTimer round_span("optimizer.round", round_base);
     round_span.trace_arg({"round_base", round_base});
-    if (batched && obs::metrics().enabled()) DriverMetrics::get().rounds.add(1);
 
     // Ask: the study proposes, model-filters, and numbers the round.
     std::vector<Trial> trials = study_.ask(options_.batch_size);

@@ -1,12 +1,9 @@
 #include "core/run_trace.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace hp::core {
-
-void RunTrace::add(EvaluationRecord record) {
-  records_.push_back(std::move(record));
-}
 
 namespace {
 bool is_function_evaluation(const EvaluationRecord& r) {
@@ -15,59 +12,33 @@ bool is_function_evaluation(const EvaluationRecord& r) {
 }
 }  // namespace
 
-std::size_t RunTrace::function_evaluations() const noexcept {
-  return static_cast<std::size_t>(
-      std::count_if(records_.begin(), records_.end(), is_function_evaluation));
-}
-
-std::size_t RunTrace::completed_count() const noexcept {
-  return static_cast<std::size_t>(
-      std::count_if(records_.begin(), records_.end(), [](const auto& r) {
-        return r.status == EvaluationStatus::Completed;
-      }));
-}
-
-std::size_t RunTrace::model_filtered_count() const noexcept {
-  return static_cast<std::size_t>(
-      std::count_if(records_.begin(), records_.end(), [](const auto& r) {
-        return r.status == EvaluationStatus::ModelFiltered;
-      }));
-}
-
-std::size_t RunTrace::early_terminated_count() const noexcept {
-  return static_cast<std::size_t>(
-      std::count_if(records_.begin(), records_.end(), [](const auto& r) {
-        return r.status == EvaluationStatus::EarlyTerminated;
-      }));
-}
-
-std::size_t RunTrace::measured_violation_count() const noexcept {
-  return static_cast<std::size_t>(
-      std::count_if(records_.begin(), records_.end(), [](const auto& r) {
-        return is_function_evaluation(r) && r.violates_constraints;
-      }));
-}
-
-std::size_t RunTrace::failed_count() const noexcept {
-  return static_cast<std::size_t>(
-      std::count_if(records_.begin(), records_.end(), [](const auto& r) {
-        return r.status == EvaluationStatus::Failed;
-      }));
-}
-
-std::size_t RunTrace::fallback_count() const noexcept {
-  return static_cast<std::size_t>(
-      std::count_if(records_.begin(), records_.end(), [](const auto& r) {
-        return !r.measured && (r.measured_power_w || r.measured_memory_mb);
-      }));
-}
-
-std::size_t RunTrace::total_retries() const noexcept {
-  std::size_t retries = 0;
-  for (const EvaluationRecord& r : records_) {
-    retries += r.attempts > 0 ? r.attempts - 1 : 0;
+void RunTrace::add(EvaluationRecord record) {
+  records_.push_back(std::move(record));
+  const EvaluationRecord& r = records_.back();
+  switch (r.status) {
+    case EvaluationStatus::Completed:
+      ++completed_;
+      break;
+    case EvaluationStatus::EarlyTerminated:
+      ++early_terminated_;
+      break;
+    case EvaluationStatus::ModelFiltered:
+      ++model_filtered_;
+      break;
+    case EvaluationStatus::InfeasibleArchitecture:
+      ++infeasible_;
+      break;
+    case EvaluationStatus::Failed:
+      ++failed_;
+      break;
   }
-  return retries;
+  if (is_function_evaluation(r) && r.violates_constraints) {
+    ++measured_violations_;
+  }
+  if (!r.measured && (r.measured_power_w || r.measured_memory_mb)) {
+    ++fallbacks_;
+  }
+  retries_ += r.attempts > 0 ? r.attempts - 1 : 0;
 }
 
 std::optional<EvaluationRecord> RunTrace::best() const {

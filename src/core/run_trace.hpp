@@ -1,8 +1,13 @@
 #pragma once
 // Per-run sample trace plus the derived series the paper's figures and
 // tables are built from (best-error-vs-evaluations, cumulative violations,
-// time to reach N samples, time to reach a target error, ...).
+// time to reach N samples, time to reach a target error, ...). It is also
+// the one home of a run's counts (function evaluations, model-filtered
+// samples, measured violations, ...): add() updates them, so every count
+// getter is O(1) and the per-sample log events, the Study's budget checks
+// and the figures all read the same numbers.
 
+#include <cstddef>
 #include <optional>
 #include <ostream>
 #include <vector>
@@ -24,24 +29,43 @@ class RunTrace {
 
   /// Number of samples that invoked the objective (completed or
   /// early-terminated trainings) — the paper's "function evaluations".
-  [[nodiscard]] std::size_t function_evaluations() const noexcept;
+  [[nodiscard]] std::size_t function_evaluations() const noexcept {
+    return completed_ + early_terminated_;
+  }
   /// Completed trainings only.
-  [[nodiscard]] std::size_t completed_count() const noexcept;
+  [[nodiscard]] std::size_t completed_count() const noexcept {
+    return completed_;
+  }
   /// Samples rejected a priori by the hardware models.
-  [[nodiscard]] std::size_t model_filtered_count() const noexcept;
+  [[nodiscard]] std::size_t model_filtered_count() const noexcept {
+    return model_filtered_;
+  }
   /// Samples terminated early as diverging.
-  [[nodiscard]] std::size_t early_terminated_count() const noexcept;
-  /// Samples whose *measured* metrics violate the budgets (the
-  /// constraint-violating evaluations of Figure 4 center).
-  [[nodiscard]] std::size_t measured_violation_count() const noexcept;
+  [[nodiscard]] std::size_t early_terminated_count() const noexcept {
+    return early_terminated_;
+  }
+  /// Samples whose network could not be generated.
+  [[nodiscard]] std::size_t infeasible_count() const noexcept {
+    return infeasible_;
+  }
+  /// Function evaluations (completed or early-terminated) whose *measured*
+  /// metrics violate the budgets (the constraint-violating evaluations of
+  /// Figure 4 center).
+  [[nodiscard]] std::size_t measured_violation_count() const noexcept {
+    return measured_violations_;
+  }
   /// Samples whose every evaluation attempt failed (recorded and skipped
   /// by the resilience layer).
-  [[nodiscard]] std::size_t failed_count() const noexcept;
+  [[nodiscard]] std::size_t failed_count() const noexcept { return failed_; }
   /// Samples whose power/memory came from the predictive fallback models
   /// after live sensor reads failed (measured == false with metrics).
-  [[nodiscard]] std::size_t fallback_count() const noexcept;
+  [[nodiscard]] std::size_t fallback_count() const noexcept {
+    return fallbacks_;
+  }
   /// Evaluation attempts beyond each sample's first (total retries).
-  [[nodiscard]] std::size_t total_retries() const noexcept;
+  [[nodiscard]] std::size_t total_retries() const noexcept {
+    return retries_;
+  }
 
   /// The best feasible completed record, if any.
   [[nodiscard]] std::optional<EvaluationRecord> best() const;
@@ -75,6 +99,15 @@ class RunTrace {
 
  private:
   std::vector<EvaluationRecord> records_;
+  // Running counts over records_, updated by add().
+  std::size_t completed_ = 0;
+  std::size_t model_filtered_ = 0;
+  std::size_t early_terminated_ = 0;
+  std::size_t infeasible_ = 0;
+  std::size_t failed_ = 0;
+  std::size_t measured_violations_ = 0;
+  std::size_t fallbacks_ = 0;
+  std::size_t retries_ = 0;
 };
 
 }  // namespace hp::core

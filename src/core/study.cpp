@@ -116,9 +116,9 @@ void Study::replay_one(const EvaluationRecord& record) {
   const double delta = record.timestamp_s - clock_.now_s();
   if (delta > 0.0) clock_.advance(delta);
   EvaluationRecord copy = record;
-  recorder_.observe_sample(copy, RunRecorder::SampleMode::kReplay);
-  proposer_.observe(copy);
-  (void)recorder_.commit(std::move(copy), RunRecorder::SampleMode::kReplay);
+  recorder_.observe_sample(copy);
+  proposer_.observe(
+      recorder_.commit(std::move(copy), RunRecorder::SampleMode::kReplay));
 }
 
 void Study::replay_records(const std::vector<EvaluationRecord>& kept) {
@@ -246,7 +246,8 @@ bool Study::begin_trial(std::size_t sample_index) {
   // A round crossing a budget discards its tail, so the trace never
   // depends on batch scheduling; an aborted study likewise stops booking.
   if (stopped_ || aborted_ ||
-      recorder_.function_evaluations() >= options_.max_function_evaluations ||
+      recorder_.trace().function_evaluations() >=
+          options_.max_function_evaluations ||
       clock_.now_s() >= options_.max_runtime_s) {
     dropped_ += pending_.size();
     pending_.clear();
@@ -305,10 +306,10 @@ void Study::book(EvaluationRecord& record) {
     }
   }
   record.timestamp_s = clock_.now_s();
-  recorder_.observe_sample(record, RunRecorder::SampleMode::kLive);
-  proposer_.observe(record);
+  recorder_.observe_sample(record);
   const EvaluationRecord& stored =
       recorder_.commit(std::move(record), RunRecorder::SampleMode::kLive);
+  proposer_.observe(stored);
   // Journal after the record is final (index/timestamp/classification
   // set): the journal's crash-safety contract is "what it holds can be
   // replayed verbatim".
@@ -334,7 +335,8 @@ void Study::check_abort() {
 bool Study::finished() const {
   if (stopped_ || aborted_) return true;
   if (next_sample_ >= options_.max_samples) return true;
-  if (recorder_.function_evaluations() >= options_.max_function_evaluations) {
+  if (recorder_.trace().function_evaluations() >=
+      options_.max_function_evaluations) {
     return true;
   }
   if (clock_.now_s() >= options_.max_runtime_s) return true;
@@ -349,7 +351,7 @@ StudySnapshot Study::snapshot() const {
   snap.failed = failed_;
   snap.dropped = dropped_;
   snap.samples = recorder_.trace().size();
-  snap.function_evaluations = recorder_.function_evaluations();
+  snap.function_evaluations = recorder_.trace().function_evaluations();
   snap.clock_s = clock_.now_s();
   snap.best = recorder_.incumbent();
   snap.finished = finished();
@@ -374,18 +376,19 @@ RunResult Study::finish() {
 
   obs::Logger& log = obs::logger();
   if (log.enabled(obs::LogLevel::kInfo)) {
-    const RunRecorder::Tally& tally = recorder_.tally();
+    const RunTrace& trace = result.trace;
     std::vector<obs::LogField> fields{
         {"method", obs::JsonValue(proposer_.name())},
-        {"samples", obs::JsonValue(result.trace.size())},
-        {"completed", obs::JsonValue(tally.completed)},
-        {"model_filtered", obs::JsonValue(tally.model_filtered)},
-        {"early_terminated", obs::JsonValue(tally.early_terminated)},
-        {"infeasible", obs::JsonValue(tally.infeasible)},
-        {"failed", obs::JsonValue(tally.failed)},
-        {"retries", obs::JsonValue(tally.retries)},
-        {"fallbacks", obs::JsonValue(tally.fallbacks)},
-        {"measured_violations", obs::JsonValue(tally.measured_violations)},
+        {"samples", obs::JsonValue(trace.size())},
+        {"completed", obs::JsonValue(trace.completed_count())},
+        {"model_filtered", obs::JsonValue(trace.model_filtered_count())},
+        {"early_terminated", obs::JsonValue(trace.early_terminated_count())},
+        {"infeasible", obs::JsonValue(trace.infeasible_count())},
+        {"failed", obs::JsonValue(trace.failed_count())},
+        {"retries", obs::JsonValue(trace.total_retries())},
+        {"fallbacks", obs::JsonValue(trace.fallback_count())},
+        {"measured_violations",
+         obs::JsonValue(trace.measured_violation_count())},
         {"aborted", obs::JsonValue(result.aborted)},
         {"clock_s", obs::JsonValue(clock_.now_s())},
     };

@@ -12,27 +12,6 @@
 
 namespace hp::gp {
 
-namespace {
-
-/// Refit instruments, fetched once per process (registry-stable refs).
-struct GpMetrics {
-  obs::Counter& refits;
-  obs::Counter& refits_incremental;
-  obs::Histogram& refit_n;
-
-  static GpMetrics& get() {
-    static GpMetrics m{
-        obs::metrics().counter("gp.refits"),
-        obs::metrics().counter("gp.refits_incremental"),
-        obs::metrics().histogram("gp.refit_observations",
-                                 obs::exponential_buckets(1.0, 2.0, 12)),
-    };
-    return m;
-  }
-};
-
-}  // namespace
-
 double Prediction::stddev() const noexcept {
   return variance > 0.0 ? std::sqrt(variance) : 0.0;
 }
@@ -90,11 +69,6 @@ RefitKind GaussianProcess::classify_refit(const linalg::Matrix& x) const {
 }
 
 void GaussianProcess::refit(RefitKind kind) {
-  if (obs::metrics().enabled()) {
-    GpMetrics::get().refits.add(1);
-    if (kind != RefitKind::kFull) GpMetrics::get().refits_incremental.add(1);
-    GpMetrics::get().refit_n.observe(static_cast<double>(x_.rows()));
-  }
   if (obs::logger().enabled(obs::LogLevel::kTrace)) {
     obs::logger().trace("gp.refit",
                         {{"n", obs::JsonValue(x_.rows())},

@@ -1,5 +1,6 @@
 #include "hw/profiler.hpp"
 
+#include <exception>
 #include <stdexcept>
 
 #include "hw/sensor.hpp"
@@ -9,23 +10,14 @@ namespace hp::hw {
 
 namespace {
 
-struct HwMetrics {
-  obs::Counter& profiled_specs;
-  obs::Counter& profile_failures;
-  obs::Counter& sensor_read_failures;
-
-  static HwMetrics& get() {
-    static HwMetrics m{
-        obs::metrics().counter("hw.profiled_specs"),
-        obs::metrics().counter("hw.profile_failures"),
-        obs::metrics().counter("hw.sensor_read_failures"),
-    };
-    return m;
-  }
-};
-
 /// Memory-query retries before the sample degrades to "no memory reading".
 constexpr std::size_t kMemoryQueryAttempts = 3;
+
+/// Records a spec profile_all() skipped, with the reason it failed.
+void log_profile_failure(const std::exception& e) {
+  obs::logger().debug("hw.profile_failed",
+                      {{"reason", obs::JsonValue(e.what())}});
+}
 
 }  // namespace
 
@@ -55,9 +47,6 @@ ProfileSample InferenceProfiler::profile(const nn::CnnSpec& spec) {
         session_.device_get_power_usage(handle_, &milliwatts);
     if (r == nvml::Return::ErrorUnknown) {
       // Transient read failure: skip this reading, average the rest.
-      if (obs::metrics().enabled()) {
-        HwMetrics::get().sensor_read_failures.add(1);
-      }
       continue;
     }
     if (r != nvml::Return::Success) {
@@ -99,7 +88,6 @@ ProfileSample InferenceProfiler::profile(const nn::CnnSpec& spec) {
     // Counter exists but stayed dark through the retries: degrade the
     // sample (memory absent, flagged) instead of failing the profile.
     sample.memory_read_failed = true;
-    if (obs::metrics().enabled()) HwMetrics::get().sensor_read_failures.add(1);
     obs::logger().warn("hw.memory_query_degraded",
                        {{"attempts", obs::JsonValue(kMemoryQueryAttempts)}});
   } else if (r != nvml::Return::ErrorNotSupported) {
@@ -112,7 +100,6 @@ ProfileSample InferenceProfiler::profile(const nn::CnnSpec& spec) {
 
   simulator_.set_inference_active(false);
   simulator_.unload_model();
-  if (obs::metrics().enabled()) HwMetrics::get().profiled_specs.add(1);
   if (obs::logger().enabled(obs::LogLevel::kDebug)) {
     std::vector<obs::LogField> fields{
         {"power_w", obs::JsonValue(sample.power_w)},
@@ -133,13 +120,13 @@ std::vector<ProfileSample> InferenceProfiler::profile_all(
   for (const nn::CnnSpec& spec : specs) {
     try {
       samples.push_back(profile(spec));
-    } catch (const std::invalid_argument&) {
+    } catch (const std::invalid_argument& e) {
       // Infeasible architecture (spatial collapse): skip, as the paper's
       // generation scripts skip Caffe definition failures.
-      if (obs::metrics().enabled()) HwMetrics::get().profile_failures.add(1);
-    } catch (const std::runtime_error&) {
+      log_profile_failure(e);
+    } catch (const std::runtime_error& e) {
       // Model too large for the device: skip.
-      if (obs::metrics().enabled()) HwMetrics::get().profile_failures.add(1);
+      log_profile_failure(e);
     }
   }
   return samples;

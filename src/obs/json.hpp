@@ -1,8 +1,8 @@
 #pragma once
 // Minimal JSON value + serializer shared by the observability layer (JSONL
-// log sink, metrics export) and the bench reporter. Write-only on purpose:
-// the repo needs machine-readable *output* (BENCH_*.json, metrics dumps,
-// structured log lines), not a parser. Object keys keep insertion order so
+// log sink) and the bench reporter. Write-only on purpose: the repo needs
+// machine-readable *output* (BENCH_*.json, structured log lines), not a
+// parser. Object keys keep insertion order so
 // emitted files are stable and diffable run-to-run.
 
 #include <cstdint>
@@ -19,7 +19,7 @@ namespace hp::obs {
 [[nodiscard]] std::string json_escape(std::string_view s);
 
 /// A JSON document node. Small tagged union; numbers keep their original
-/// integer/floating kind so counters serialize without a decimal point.
+/// integer/floating kind so counts serialize without a decimal point.
 class JsonValue {
  public:
   enum class Kind { Null, Bool, Int, Uint, Double, String, Array, Object };

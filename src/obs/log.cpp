@@ -38,11 +38,10 @@ std::optional<LogLevel> log_level_from_string(const std::string& name) {
 // ---------------------------------------------------------------------------
 // StderrSink
 
-StderrSink::StderrSink(std::ostream* os, bool show_progress_events)
-    : os_(os), show_progress_events_(show_progress_events) {}
+StderrSink::StderrSink(std::ostream* os) : os_(os) {}
 
 void StderrSink::write(const LogEvent& event) {
-  if (!show_progress_events_ && event.name == "optimizer.progress") return;
+  if (event.name == "optimizer.progress") return;
   MutexLock lock(mutex_);
   std::ostream& os = os_ != nullptr ? *os_ : std::cerr;
   char head[64];
@@ -110,18 +109,7 @@ void JsonlSink::flush() {
 
 Logger::Logger()
     : threshold_(static_cast<int>(LogLevel::kOff)),
-      level_floor_(static_cast<int>(LogLevel::kTrace)),
       start_(std::chrono::steady_clock::now()) {}
-
-void Logger::set_level(LogLevel level) {
-  MutexLock lock(mutex_);
-  level_floor_.store(static_cast<int>(level), std::memory_order_relaxed);
-  recompute_threshold_locked();
-}
-
-LogLevel Logger::level() const noexcept {
-  return static_cast<LogLevel>(level_floor_.load(std::memory_order_relaxed));
-}
 
 void Logger::add_sink(std::shared_ptr<LogSink> sink, LogLevel min_level) {
   if (sink == nullptr) return;
@@ -162,8 +150,6 @@ void Logger::recompute_threshold_locked() {
   for (const auto& [sink, min_level] : sinks_) {
     threshold = std::min(threshold, static_cast<int>(min_level));
   }
-  threshold =
-      std::max(threshold, level_floor_.load(std::memory_order_relaxed));
   threshold_.store(threshold, std::memory_order_relaxed);
 }
 

@@ -11,9 +11,8 @@
 // Events are structured: a dotted name ("optimizer.sample", emitted by
 // the core::RunRecorder bookkeeping layer) plus typed key-value fields,
 // fanned out to pluggable sinks (stderr pretty-printer, JSONL file, the
-// CLI progress renderer). Each sink has its own minimum
-// level; the logger-wide threshold is the most verbose sink's level
-// combined with an explicit global floor (set_level).
+// CLI progress renderer). Each sink has its own minimum level; the
+// logger-wide threshold is the most verbose sink's level.
 
 #include <atomic>
 #include <chrono>
@@ -66,12 +65,11 @@ class LogSink {
 };
 
 /// Human-oriented pretty printer: "[ 12.345s info ] name  key=value ...".
-/// Skips "optimizer.progress" events by default — those drive the CLI's
-/// live progress line, not the log.
+/// Skips "optimizer.progress" events — those drive the CLI's live progress
+/// line, not the log.
 class StderrSink final : public LogSink {
  public:
-  explicit StderrSink(std::ostream* os = nullptr,
-                      bool show_progress_events = false);
+  explicit StderrSink(std::ostream* os = nullptr);
   void write(const LogEvent& event) override;
   void flush() override;
 
@@ -80,7 +78,6 @@ class StderrSink final : public LogSink {
   /// nest inside Logger::dispatch_mutex_, never the other way around).
   Mutex mutex_;
   std::ostream* os_;  ///< nullptr = std::cerr (resolved at write time)
-  bool show_progress_events_;
 };
 
 /// Machine-oriented sink: one JSON object per line,
@@ -109,10 +106,6 @@ class Logger {
   [[nodiscard]] bool enabled(LogLevel level) const noexcept {
     return static_cast<int>(level) >= threshold_.load(std::memory_order_relaxed);
   }
-
-  /// Global floor: events below it never dispatch, regardless of sinks.
-  void set_level(LogLevel level);
-  [[nodiscard]] LogLevel level() const noexcept;
 
   /// Registers a sink receiving events at >= @p min_level. Safe to call
   /// from a sink's own write() (registration takes only mutex_, which
@@ -153,10 +146,9 @@ class Logger {
  private:
   void recompute_threshold_locked() HP_REQUIRES(mutex_);
 
-  /// Effective dispatch threshold: max(level floor, most verbose sink);
-  /// kOff when no sinks are attached.
+  /// Effective dispatch threshold: the most verbose sink's level; kOff
+  /// when no sinks are attached.
   std::atomic<int> threshold_;
-  std::atomic<int> level_floor_;
   /// Registration lock (rank 1, DESIGN.md §14): guards the sink list.
   /// Held only for snapshots and list edits — never across a sink call.
   mutable Mutex mutex_;

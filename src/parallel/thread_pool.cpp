@@ -1,7 +1,8 @@
 #include "parallel/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
+#include <exception>
 #include <limits>
 
 #include "core/contracts.hpp"
@@ -34,13 +35,7 @@ struct ThreadPool::Batch {
       std::numeric_limits<std::size_t>::max();
 };
 
-ThreadPool::ThreadPool(std::size_t num_threads)
-    : obs_queue_depth_(&obs::metrics().gauge("pool.queue_depth")),
-      obs_task_wait_s_(&obs::metrics().histogram("pool.task_wait_s")),
-      obs_jobs_(&obs::metrics().counter("pool.jobs")),
-      obs_parallel_for_calls_(
-          &obs::metrics().counter("pool.parallel_for_calls")),
-      obs_indices_(&obs::metrics().counter("pool.indices")) {
+ThreadPool::ThreadPool(std::size_t num_threads) {
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -68,20 +63,6 @@ void ThreadPool::worker_loop() {
     }
     job();
   }
-}
-
-void ThreadPool::instrument_job(std::function<void()>& job) {
-  if (!obs::metrics().enabled()) return;
-  obs_queue_depth_->add(1.0);
-  const auto enqueued = std::chrono::steady_clock::now();
-  job = [this, enqueued, inner = std::move(job)] {
-    obs_queue_depth_->add(-1.0);
-    obs_task_wait_s_->observe(std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - enqueued)
-                                  .count());
-    obs_jobs_->add(1);
-    inner();
-  };
 }
 
 void ThreadPool::run_batch_share(const std::shared_ptr<Batch>& batch) {
@@ -115,10 +96,6 @@ void ThreadPool::run_batch_share(const std::shared_ptr<Batch>& batch) {
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
-  if (obs::metrics().enabled()) {
-    obs_parallel_for_calls_->add(1);
-    obs_indices_->add(n);
-  }
 
   auto batch = std::make_shared<Batch>();
   batch->body = &body;
@@ -146,9 +123,7 @@ void ThreadPool::parallel_for(std::size_t n,
     MutexLock lock(queue_mutex_);
     HP_ASSERT(!stopping_, "ThreadPool::parallel_for during shutdown");
     for (std::size_t i = 0; i < helpers; ++i) {
-      std::function<void()> helper = [batch] { run_batch_share(batch); };
-      instrument_job(helper);
-      queue_.emplace_back(std::move(helper));
+      queue_.emplace_back([batch] { run_batch_share(batch); });
     }
   }
   queue_cv_.notify_all();

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/thread_annotations.hpp"
-#include "obs/metrics.hpp"
 
 namespace hp::parallel {
 
@@ -65,10 +64,6 @@ class ThreadPool {
 
   void worker_loop();
   static void run_batch_share(const std::shared_ptr<Batch>& batch);
-  /// When metrics are enabled, wraps @p job to track queue depth and the
-  /// enqueue-to-start wait time; otherwise leaves it untouched. Pure
-  /// read-side instrumentation — never alters what runs or in what order.
-  void instrument_job(std::function<void()>& job);
 
   std::vector<std::thread> workers_;
   // Leaf lock (DESIGN.md §14 rank table): never held while acquiring any
@@ -77,13 +72,6 @@ class ThreadPool {
   CondVar queue_cv_;
   std::deque<std::function<void()>> queue_ HP_GUARDED_BY(queue_mutex_);
   bool stopping_ HP_GUARDED_BY(queue_mutex_) = false;
-
-  // Observability instruments (process-global registry; fetched once).
-  obs::Gauge* obs_queue_depth_;
-  obs::Histogram* obs_task_wait_s_;
-  obs::Counter* obs_jobs_;
-  obs::Counter* obs_parallel_for_calls_;
-  obs::Counter* obs_indices_;
 };
 
 }  // namespace hp::parallel

@@ -11,47 +11,14 @@ namespace hp::testbed {
 
 namespace {
 
-/// Objective-side instruments. Counters are atomic, so bumping them from
-/// evaluate_detached() on pool workers is safe and leaves results untouched.
-struct TestbedMetrics {
-  obs::Counter& evaluations;
-  obs::Counter& simulated_epochs;
-  obs::Counter& divergence_detections;
-  obs::Counter& infeasible_architectures;
-  obs::Counter& sensor_fallbacks;
-
-  static TestbedMetrics& get() {
-    obs::MetricsRegistry& m = obs::metrics();
-    static TestbedMetrics instance{
-        m.counter("testbed.evaluations"),
-        m.counter("testbed.simulated_epochs"),
-        m.counter("testbed.divergence_detections"),
-        m.counter("testbed.infeasible_architectures"),
-        m.counter("testbed.sensor_fallbacks"),
-    };
-    return instance;
-  }
-};
-
 /// Salts the detached-path fault stream so it never collides with the
 /// measurement-noise stream, which is keyed off the same spec hash.
 constexpr std::uint64_t kDetachedFaultSalt = 0x7f4a7c159e3779b9ULL;
 
-/// Read-side tally of one finished evaluation (both evaluation paths).
+/// Read-side trace event of one finished evaluation (both evaluation
+/// paths).
 void observe_evaluation(const core::EvaluationRecord& record,
                         std::size_t epochs_walked) {
-  if (obs::metrics().enabled()) {
-    TestbedMetrics& m = TestbedMetrics::get();
-    m.evaluations.add(1);
-    m.simulated_epochs.add(epochs_walked);
-    if (record.status == core::EvaluationStatus::InfeasibleArchitecture) {
-      m.infeasible_architectures.add(1);
-    }
-    if (record.diverged &&
-        record.status == core::EvaluationStatus::EarlyTerminated) {
-      m.divergence_detections.add(1);
-    }
-  }
   if (obs::logger().enabled(obs::LogLevel::kTrace)) {
     obs::logger().trace(
         "testbed.evaluate",
@@ -189,7 +156,6 @@ TestbedObjective::Measurement TestbedObjective::resolve_measurement(
     m.memory_mb = memory_mb;
   }
   if (!m.measured) {
-    if (obs::metrics().enabled()) TestbedMetrics::get().sensor_fallbacks.add(1);
     obs::logger().warn(
         "hw.sensor_fallback",
         {{"power_degraded", obs::JsonValue(burst.degraded)},

@@ -31,13 +31,71 @@ RunTrace sample_trace() {
 }
 
 TEST(RunTrace, Counters) {
-  const RunTrace t = sample_trace();
+  RunTrace t = sample_trace();
   EXPECT_EQ(t.size(), 7u);
   EXPECT_EQ(t.function_evaluations(), 5u);  // completed + early-terminated
   EXPECT_EQ(t.completed_count(), 4u);
   EXPECT_EQ(t.model_filtered_count(), 1u);
   EXPECT_EQ(t.early_terminated_count(), 1u);
+  EXPECT_EQ(t.infeasible_count(), 1u);
   EXPECT_EQ(t.measured_violation_count(), 1u);  // only the trained violator
+  EXPECT_EQ(t.failed_count(), 0u);
+  EXPECT_EQ(t.fallback_count(), 0u);
+  EXPECT_EQ(t.total_retries(), 0u);
+
+  // One violation definition: a violating early-terminated evaluation
+  // counts (it was trained), a filtered or failed "violator" does not.
+  t.add(record(EvaluationStatus::EarlyTerminated, 0.9, 500.0,
+               /*violates=*/true, /*diverged=*/true));
+  EvaluationRecord failed = record(EvaluationStatus::Failed, 1.0, 510.0, true);
+  failed.attempts = 3;  // two retries, then skipped
+  t.add(failed);
+  EvaluationRecord retried = record(EvaluationStatus::Completed, 0.4, 520.0);
+  retried.attempts = 2;  // one retry, then completed
+  t.add(retried);
+  EvaluationRecord fallback = record(EvaluationStatus::Completed, 0.5, 530.0);
+  fallback.measured = false;  // power came from the fallback model
+  fallback.measured_power_w = 80.0;
+  t.add(fallback);
+  EvaluationRecord dark = record(EvaluationStatus::Failed, 1.0, 540.0);
+  dark.measured = false;  // no metrics at all: not a fallback
+  t.add(dark);
+
+  EXPECT_EQ(t.size(), 12u);
+  EXPECT_EQ(t.function_evaluations(), 8u);
+  EXPECT_EQ(t.completed_count(), 6u);
+  EXPECT_EQ(t.early_terminated_count(), 2u);
+  EXPECT_EQ(t.measured_violation_count(), 2u);
+  EXPECT_EQ(t.failed_count(), 2u);
+  EXPECT_EQ(t.fallback_count(), 1u);
+  EXPECT_EQ(t.total_retries(), 3u);
+
+  // The running counts equal a recount of the records.
+  std::size_t completed = 0, early = 0, filtered = 0, infeasible = 0;
+  std::size_t failed_n = 0, violations = 0, fallbacks = 0, retries = 0;
+  for (const EvaluationRecord& r : t.records()) {
+    completed += r.status == EvaluationStatus::Completed ? 1 : 0;
+    early += r.status == EvaluationStatus::EarlyTerminated ? 1 : 0;
+    filtered += r.status == EvaluationStatus::ModelFiltered ? 1 : 0;
+    infeasible += r.status == EvaluationStatus::InfeasibleArchitecture ? 1 : 0;
+    failed_n += r.status == EvaluationStatus::Failed ? 1 : 0;
+    const bool trained = r.status == EvaluationStatus::Completed ||
+                         r.status == EvaluationStatus::EarlyTerminated;
+    violations += trained && r.violates_constraints ? 1 : 0;
+    fallbacks +=
+        !r.measured && (r.measured_power_w || r.measured_memory_mb) ? 1 : 0;
+    retries += r.attempts - 1;
+  }
+  EXPECT_EQ(t.completed_count(), completed);
+  EXPECT_EQ(t.early_terminated_count(), early);
+  EXPECT_EQ(t.model_filtered_count(), filtered);
+  EXPECT_EQ(t.infeasible_count(), infeasible);
+  EXPECT_EQ(t.failed_count(), failed_n);
+  EXPECT_EQ(t.function_evaluations(), completed + early);
+  EXPECT_EQ(t.measured_violation_count(), violations);
+  EXPECT_EQ(t.fallback_count(), fallbacks);
+  EXPECT_EQ(t.total_retries(), retries);
+  EXPECT_EQ(t.violations_per_function_evaluation().back(), violations);
 }
 
 TEST(RunTrace, BestIgnoresViolatingAndNonCompleted) {

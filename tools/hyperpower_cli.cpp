@@ -70,8 +70,6 @@ observability (any command):
   --log-level L   stderr log verbosity: trace|debug|info|warn|error|off
                   (default warn)
   --log-file P    write every event >= the log level as JSON lines to P
-  --metrics P     collect counters/histograms (counts and sizes), write
-                  them as JSON to P; phase durations come from --trace-out
   --progress      force the live progress line (optimize; default on a tty)
   --quiet         suppress the live progress line
   --trace-out P   record a causal span trace of the run and write it to P
@@ -99,17 +97,17 @@ exit codes:
 
 /// Flags shared by every subcommand.
 const std::vector<std::string> kObsFlags = {
-    "log-level", "log-file",      "metrics",         "progress",
-    "quiet",     "trace-out",     "trace-ring-kb",   "flight-recorder"};
+    "log-level", "log-file",      "progress",        "quiet",
+    "trace-out", "trace-ring-kb", "flight-recorder"};
 
 std::vector<std::string> with_obs_flags(std::vector<std::string> known) {
   known.insert(known.end(), kObsFlags.begin(), kObsFlags.end());
   return known;
 }
 
-/// Configures the process-wide logger/metrics from --log-level, --log-file
-/// and --metrics, and tears them down (flush, metrics dump) on scope exit —
-/// including when the command throws.
+/// Configures the process-wide logger and tracer from --log-level,
+/// --log-file and --trace-out, and tears them down (flush, trace dump) on
+/// scope exit — including when the command throws.
 class ObsScope {
  public:
   explicit ObsScope(const cli::Args& args) {
@@ -125,10 +123,6 @@ class ObsScope {
         obs::logger().add_sink(std::make_shared<obs::JsonlSink>(*path),
                                *level);
       }
-    }
-    if (const auto path = args.get("metrics")) {
-      metrics_path_ = *path;
-      obs::metrics().set_enabled(true);
     }
     if (const auto path = args.get("trace-out")) trace_out_ = *path;
     const bool flight = args.has("flight-recorder");
@@ -167,23 +161,12 @@ class ObsScope {
                      e.what());
       }
     }
-    if (!metrics_path_.empty()) {
-      try {
-        obs::metrics().write_json_file(metrics_path_);
-        std::fprintf(stderr, "wrote metrics to %s\n", metrics_path_.c_str());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "error writing %s: %s\n", metrics_path_.c_str(),
-                     e.what());
-      }
-      obs::metrics().set_enabled(false);
-    }
   }
 
   ObsScope(const ObsScope&) = delete;
   ObsScope& operator=(const ObsScope&) = delete;
 
  private:
-  std::string metrics_path_;
   std::string trace_out_;
 };
 

@@ -266,9 +266,9 @@ def check_raw_objective_evaluate(path, root, lines, findings):
 
 # Member calls that mutate a run's proposal/recording state. propose,
 # propose_batch, begin_run, observe_sample, commit, and take_trace are
-# unambiguous member names in library code; Proposer::observe shares its
-# name with obs::Histogram::observe, so it is matched separately with a
-# proposer-ish receiver. Subclass internals (a proposer calling its own
+# unambiguous member names in library code; observe is a common method
+# name (histograms, running statistics), so Proposer::observe is matched
+# separately with a proposer-ish receiver. Subclass internals (a proposer calling its own
 # propose() in a lambda) have no member receiver and don't match.
 STUDY_MUTATION_RE = re.compile(
     r"(?:\.|->)\s*(?:propose_batch|propose|observe_sample|take_trace|"
