@@ -80,7 +80,7 @@ Configuration BayesOptProposer::propose(stats::Rng& rng) {
   timer.trace_arg({"pool", bo_options_.pool.lattice_points +
                                bo_options_.pool.random_points});
   timer.trace_arg({"score_block", bo_options_.pool.score_block_size});
-  return pool_.maximize(*acquisition_, ctx, rng).config;
+  return pool_.maximize(*acquisition_, ctx, rng, thread_pool()).config;
 }
 
 std::vector<Configuration> BayesOptProposer::propose_batch(
@@ -169,7 +169,7 @@ void BayesOptProposer::refit_objective_gp() {
   if (kernel_ml) {
     gp::KernelFitOptions fit = bo_options_.kernel_fit;
     fit.min_noise_variance = bo_options_.observation_noise;
-    (void)gp::fit_kernel_by_ml(*objective_gp_, x, y, fit);
+    (void)gp::fit_kernel_by_ml(*objective_gp_, x, y, fit, thread_pool());
     observations_since_kernel_fit_ = 0;
   } else {
     objective_gp_->fit(x, y);

@@ -93,7 +93,14 @@ RunResult EvaluationEngine::run_impl(
   run_span.trace_arg({"seed", options_.seed});
   run_span.trace_arg({"batch_size", options_.batch_size});
   run_span.trace_arg({"num_threads", options_.num_threads});
-  replay != nullptr ? study_.resume(*replay) : study_.begin();
+
+  // One pool per run, in every mode. num_threads counts the threads doing
+  // work; the calling thread participates in every parallel_for, so K
+  // threads = K-1 pool workers (none at K = 1: everything runs inline).
+  // The proposer gets it too: it runs only between rounds, when the pool
+  // is idle, so the two uses never overlap.
+  parallel::ThreadPool pool(options_.num_threads - 1);
+  replay != nullptr ? study_.resume(*replay, &pool) : study_.begin(&pool);
 
   ResilientEvaluator evaluator(objective_, options_.retry, options_.seed);
   const bool batched = options_.batch_size > 1;
@@ -102,20 +109,16 @@ RunResult EvaluationEngine::run_impl(
       options_.use_early_termination ? &options_.early_termination : nullptr;
 
   // One dispatcher per concurrent execution mode: the fleet's, or the
-  // internal pool-backed one. num_threads counts the threads doing work;
-  // the calling thread participates in every round, so K threads = K-1
-  // pool workers. No concurrent path (sequential mode, or an objective
-  // driving real hardware) leaves the dispatcher null and evaluates
-  // during the tell loop, in sample order — still deterministic, just not
-  // overlapped.
+  // internal pool-backed one. No concurrent path (sequential mode, or an
+  // objective driving real hardware) leaves the dispatcher null and
+  // evaluates during the tell loop, in sample order — still
+  // deterministic, just not overlapped.
   const bool concurrent_eval =
       batched && objective_.supports_concurrent_evaluation();
-  std::optional<parallel::ThreadPool> pool;
   std::optional<PoolDispatcher> pool_dispatcher;
   RoundDispatcher* dispatcher = options_.dispatcher;
   if (concurrent_eval && !fleet) {
-    pool.emplace(options_.num_threads - 1);
-    pool_dispatcher.emplace(*pool, evaluator, rule);
+    pool_dispatcher.emplace(pool, evaluator, rule);
     dispatcher = &*pool_dispatcher;
   }
 

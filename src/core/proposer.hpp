@@ -27,6 +27,10 @@
 #include "core/search_space.hpp"
 #include "stats/rng.hpp"
 
+namespace hp::parallel {
+class ThreadPool;
+}  // namespace hp::parallel
+
 namespace hp::core {
 
 /// Run-scoped state the engine hands its proposer at the start of every
@@ -40,6 +44,12 @@ struct ProposerRunContext {
   /// Best feasible record observed so far (recorder-owned; may be empty).
   const std::optional<EvaluationRecord>* incumbent = nullptr;
   std::uint64_t seed = 1;
+  /// The engine's thread pool (num_threads - 1 workers, none at one
+  /// thread), idle whenever the proposer runs; null when the run has no
+  /// engine (a Study driven directly). A proposer may spread its own work
+  /// over it with parallel::parallel_for, provided its results stay a pure
+  /// function of the inputs at any worker count.
+  parallel::ThreadPool* pool = nullptr;
 };
 
 /// Candidate-selection strategy interface.
@@ -120,6 +130,10 @@ class Proposer {
   }
   [[nodiscard]] std::uint64_t run_seed() const noexcept {
     return context_.seed;
+  }
+  /// The engine's thread pool for this run, or null (no engine).
+  [[nodiscard]] parallel::ThreadPool* thread_pool() const noexcept {
+    return context_.pool;
   }
   /// The per-sample RNG stream of global sample @p sample_index (batched
   /// mode; stateless split of the run seed).

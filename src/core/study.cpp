@@ -40,13 +40,15 @@ const HardwareConstraints* Study::active_constraints() const noexcept {
   return options_.use_hardware_models ? apriori_constraints_ : nullptr;
 }
 
-void Study::begin() { start_run(nullptr); }
+void Study::begin(parallel::ThreadPool* pool) { start_run(nullptr, pool); }
 
-void Study::resume(const std::vector<EvaluationRecord>& completed) {
-  start_run(&completed);
+void Study::resume(const std::vector<EvaluationRecord>& completed,
+                   parallel::ThreadPool* pool) {
+  start_run(&completed, pool);
 }
 
-void Study::start_run(const std::vector<EvaluationRecord>* replay) {
+void Study::start_run(const std::vector<EvaluationRecord>* replay,
+                      parallel::ThreadPool* pool) {
   recorder_.begin_run();
   pending_.clear();
   asked_ = reported_ = failed_ = dropped_ = 0;
@@ -58,6 +60,7 @@ void Study::start_run(const std::vector<EvaluationRecord>* replay) {
   context.active_constraints = active_constraints();
   context.incumbent = &recorder_.incumbent();
   context.seed = options_.seed;
+  context.pool = pool;
   proposer_.begin_run(context);
 
   obs::Logger& log = obs::logger();

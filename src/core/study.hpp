@@ -50,6 +50,10 @@
 #include "core/trace_io.hpp"
 #include "stats/rng.hpp"
 
+namespace hp::parallel {
+class ThreadPool;
+}  // namespace hp::parallel
+
 namespace hp::core {
 
 class Proposer;
@@ -95,8 +99,9 @@ struct OptimizerOptions {
   /// num_threads (but intentionally differs from the batch_size = 1 run,
   /// which consumes a single sequential stream).
   std::size_t batch_size = 1;
-  /// Worker threads evaluating a round (used only when batch_size > 1;
-  /// 1 = evaluate the round on the calling thread).
+  /// Threads the run may use (1 = the calling thread only). The engine's
+  /// pool evaluates batched rounds on them and lends them to the proposer
+  /// between rounds in every mode (ProposerRunContext::pool).
   std::size_t num_threads = 1;
 
   /// Fleet mode: when set, batched rounds are evaluated by this dispatcher
@@ -203,8 +208,11 @@ class Study {
   Study& operator=(const Study&) = delete;
 
   /// Starts a fresh run: resets the books, hands the proposer its run
-  /// context, and creates the journal (if configured).
-  void begin();
+  /// context, and creates the journal (if configured). @p pool, when set,
+  /// is the caller's thread pool, passed on to the proposer
+  /// (ProposerRunContext::pool); it must outlive the run and be idle
+  /// whenever ask() or tell() runs.
+  void begin(parallel::ThreadPool* pool = nullptr);
 
   /// Starts a continued run: like begin(), then replays @p completed
   /// records (journal order) as if they had just been evaluated —
@@ -212,8 +220,9 @@ class Study {
   /// batched mode a trailing partial round is discarded (the driver
   /// re-evaluates it; index-pure evaluations make the records identical).
   /// Throws std::runtime_error when the records do not match this study's
-  /// configuration (wrong seed/method/space).
-  void resume(const std::vector<EvaluationRecord>& completed);
+  /// configuration (wrong seed/method/space). @p pool as for begin().
+  void resume(const std::vector<EvaluationRecord>& completed,
+              parallel::ThreadPool* pool = nullptr);
 
   /// Proposes up to @p k new trials (fewer when budgets, max_samples, or a
   /// finite proposer cut the round short — never padded; an exhausted or
@@ -279,7 +288,8 @@ class Study {
   };
 
   /// Shared body of begin()/resume().
-  void start_run(const std::vector<EvaluationRecord>* replay);
+  void start_run(const std::vector<EvaluationRecord>* replay,
+                 parallel::ThreadPool* pool);
   /// Re-applies already-evaluated records: advances the proposal streams /
   /// strategy state exactly as the original run did, restores the clock
   /// and incumbent, and appends to the trace — without any evaluation.

@@ -10,6 +10,7 @@
 #include "core/contracts.hpp"
 #include "linalg/cholesky.hpp"
 #include "obs/span.hpp"
+#include "parallel/thread_pool.hpp"
 #include "stats/rng.hpp"
 
 namespace hp::gp {
@@ -38,11 +39,12 @@ struct FlatParams {
 };
 
 /// The LML objective on one dataset. The pairwise input differences and the
-/// centred targets are built once; each probe then assembles the noisy Gram
-/// matrix from them with exactly the arithmetic of kernel_matrix() +
-/// add_to_diagonal() + GaussianProcess::fit(), so a probe's value is
-/// bit-identical to the LML of a GaussianProcess fitted with the same
-/// kernel and noise.
+/// centred targets are built once and only read afterwards, so one probe
+/// serves every start of a fit, concurrently; each caller brings its own
+/// r^2 scratch. A probe assembles the noisy Gram matrix from them with
+/// exactly the arithmetic of kernel_matrix() + add_to_diagonal() +
+/// GaussianProcess::fit(), so its value is bit-identical to the LML of a
+/// GaussianProcess fitted with the same kernel and noise.
 class LmlProbe {
  public:
   LmlProbe(const linalg::Matrix& x, const linalg::Vector& y)
@@ -50,7 +52,6 @@ class LmlProbe {
         dims_(x.cols()),
         pairs_(n_ * (n_ - 1) / 2),
         diff_(pairs_ * dims_),
-        r2_(pairs_),
         centered_(y) {
     // Dimension-major: diff_[d * pairs_ + p] = x(i,d) - x(j,d) for the p-th
     // pair i < j in kernel_matrix()'s upper-triangle order, i.e. the
@@ -67,17 +68,19 @@ class LmlProbe {
 
   /// LML under @p kernel with observation noise @p noise; -inf when the
   /// Gram matrix stays indefinite even with jitter or the LML is not finite.
-  double operator()(const Kernel& kernel, double noise) {
+  /// @p r2 is the caller's scratch (resized here).
+  double operator()(const Kernel& kernel, double noise,
+                    std::vector<double>& r2) const {
     const KernelParams& params = kernel.params();
     // r^2 per pair, summed over d in ascending order as ard_distance()
     // does; the inner loop runs across independent pairs.
-    std::fill(r2_.begin(), r2_.end(), 0.0);
+    r2.assign(pairs_, 0.0);
     for (std::size_t d = 0; d < dims_; ++d) {
       const double l = params.length_scale(d);
       const double* diff = diff_.data() + d * pairs_;
       for (std::size_t p = 0; p < pairs_; ++p) {
         const double q = diff[p] / l;
-        r2_[p] += q * q;
+        r2[p] += q * q;
       }
     }
     linalg::Matrix gram(n_, n_);
@@ -86,7 +89,7 @@ class LmlProbe {
     for (std::size_t i = 0; i < n_; ++i) {
       gram(i, i) = diag;
       for (std::size_t j = i + 1; j < n_; ++j) {
-        const double v = kernel.at_distance(std::sqrt(r2_[p++]));
+        const double v = kernel.at_distance(std::sqrt(r2[p++]));
         gram(i, j) = v;
         gram(j, i) = v;
       }
@@ -102,17 +105,87 @@ class LmlProbe {
   std::size_t dims_;
   std::size_t pairs_;
   std::vector<double> diff_;
-  std::vector<double> r2_;  ///< per-probe scratch
   linalg::Vector centered_;
 };
+
+/// @p v clamped to the search box [min_log, max_log].
+double clamp_log(const KernelFitOptions& options, double v) {
+  return std::min(options.max_log, std::max(options.min_log, v));
+}
+
+/// Where one start of the search ended.
+struct StartResult {
+  FlatParams params;
+  double lml = 0.0;
+  int evaluations = 0;
+};
+
+/// Start @p k of the multi-start search: k = 0 climbs from @p incumbent,
+/// k > 0 from a uniform random point. Every draw comes from the start's
+/// own stream, so a start's result depends on nothing but (seed, k) and
+/// the data — never on which thread runs it or on the other starts.
+StartResult run_start(const LmlProbe& probe, const Kernel& family,
+                      const FlatParams& incumbent, std::size_t k,
+                      const KernelFitOptions& options) {
+  stats::Rng rng(stats::stream_seed(options.seed, k));
+  std::vector<double> r2;
+  StartResult result;
+  // Objective: LML of the candidate parameters; -inf for numerically
+  // infeasible settings. Any exception is a bug and propagates.
+  const auto evaluate = [&](const FlatParams& fp) -> double {
+    ++result.evaluations;
+    const auto kernel = family.with_params(fp.to_kernel_params());
+    return probe(*kernel, fp.noise_variance(options.min_noise_variance), r2);
+  };
+
+  FlatParams current = incumbent;
+  if (k > 0) {
+    for (double& v : current.values) {
+      v = clamp_log(options, rng.uniform(options.min_log / 2.0,
+                                         options.max_log / 2.0));
+    }
+  }
+  double current_lml = evaluate(current);
+  double step = options.initial_step;
+  for (int iter = 0; iter < options.iterations_per_restart; ++iter) {
+    if (step < options.min_step) break;
+    bool improved = false;
+    // Randomized coordinate descent: try +/- step on each coordinate in a
+    // random order, keep the first improvement.
+    for (std::size_t c : rng.permutation(current.values.size())) {
+      for (double direction : {+1.0, -1.0}) {
+        FlatParams candidate = current;
+        candidate.values[c] =
+            clamp_log(options, candidate.values[c] + direction * step);
+        if (candidate.values[c] == current.values[c]) continue;
+        const double lml = evaluate(candidate);
+        if (lml > current_lml) {
+          current = candidate;
+          current_lml = lml;
+          improved = true;
+          break;
+        }
+      }
+      if (improved) break;
+    }
+    if (!improved) step *= 0.5;
+  }
+  result.params = std::move(current);
+  result.lml = current_lml;
+  return result;
+}
 
 }  // namespace
 
 KernelFitResult fit_kernel_by_ml(GaussianProcess& gp, const linalg::Matrix& x,
                                  const linalg::Vector& y,
-                                 const KernelFitOptions& options) {
+                                 const KernelFitOptions& options,
+                                 parallel::ThreadPool* pool) {
   if (x.rows() == 0 || x.rows() != y.size()) {
     throw std::invalid_argument("fit_kernel_by_ml: bad dataset");
+  }
+  if (options.num_restarts < 0) {
+    throw std::invalid_argument("fit_kernel_by_ml: num_restarts must be >= 0");
   }
   const KernelParams& start = gp.kernel().params();
   if (start.length_scales.size() != 1 &&
@@ -126,83 +199,50 @@ KernelFitResult fit_kernel_by_ml(GaussianProcess& gp, const linalg::Matrix& x,
   obs::ScopedTimer span("gp.fit_kernel", x.rows());
   span.trace_arg({"n", x.rows()});
 
-  stats::Rng rng(options.seed);
-  int evaluations = 0;
-  LmlProbe probe(x, y);
-
-  // Objective: LML of the candidate parameters; -inf for numerically
-  // infeasible settings. Any exception is a bug and propagates.
-  const auto evaluate = [&](const FlatParams& fp) -> double {
-    ++evaluations;
-    const auto kernel = gp.kernel().with_params(fp.to_kernel_params());
-    return probe(*kernel, fp.noise_variance(options.min_noise_variance));
-  };
-
-  const auto clamp_log = [&](double v) {
-    return std::min(options.max_log, std::max(options.min_log, v));
-  };
-
   // Incumbent start: current kernel parameters (broadcast length scales).
-  FlatParams best;
-  best.num_length_scales = num_ls;
-  best.has_noise = options.fit_noise;
-  best.values.push_back(clamp_log(std::log(start.signal_variance)));
+  const auto clamped_log = [&](double v) {
+    return clamp_log(options, std::log(v));
+  };
+  FlatParams incumbent;
+  incumbent.num_length_scales = num_ls;
+  incumbent.has_noise = options.fit_noise;
+  incumbent.values.push_back(clamped_log(start.signal_variance));
   for (std::size_t d = 0; d < num_ls; ++d) {
-    best.values.push_back(clamp_log(std::log(start.length_scale(
-        start.length_scales.size() == 1 ? 0 : d))));
+    incumbent.values.push_back(clamped_log(
+        start.length_scale(start.length_scales.size() == 1 ? 0 : d)));
   }
   if (options.fit_noise) {
-    best.values.push_back(clamp_log(
-        std::log(std::max(gp.noise_variance(), options.min_noise_variance))));
-  }
-  double best_lml = evaluate(best);
-
-  for (int restart = 0; restart <= options.num_restarts; ++restart) {
-    FlatParams current = best;
-    if (restart > 0) {
-      for (double& v : current.values) {
-        v = clamp_log(rng.uniform(options.min_log / 2.0, options.max_log / 2.0));
-      }
-    }
-    double current_lml = evaluate(current);
-    double step = options.initial_step;
-    for (int iter = 0; iter < options.iterations_per_restart; ++iter) {
-      if (step < options.min_step) break;
-      bool improved = false;
-      // Randomized coordinate descent: try +/- step on each coordinate in a
-      // random order, keep the first improvement.
-      for (std::size_t c : rng.permutation(current.values.size())) {
-        for (double direction : {+1.0, -1.0}) {
-          FlatParams candidate = current;
-          candidate.values[c] = clamp_log(candidate.values[c] + direction * step);
-          if (candidate.values[c] == current.values[c]) continue;
-          const double lml = evaluate(candidate);
-          if (lml > current_lml) {
-            current = candidate;
-            current_lml = lml;
-            improved = true;
-            break;
-          }
-        }
-        if (improved) break;
-      }
-      if (!improved) step *= 0.5;
-    }
-    if (current_lml > best_lml) {
-      best = current;
-      best_lml = current_lml;
-    }
+    incumbent.values.push_back(clamped_log(
+        std::max(gp.noise_variance(), options.min_noise_variance)));
   }
 
-  if (!std::isfinite(best_lml)) {
+  // The starts are independent, so they run on the pool when there is one;
+  // the reduction below is serial and in start order either way.
+  const LmlProbe probe(x, y);
+  std::vector<StartResult> starts(
+      static_cast<std::size_t>(options.num_restarts) + 1);
+  const auto run = [&](std::size_t k) {
+    starts[k] = run_start(probe, gp.kernel(), incumbent, k, options);
+  };
+  parallel::parallel_for(pool, starts.size(), run);
+
+  // Best by LML; strict > keeps the lowest start index on ties.
+  std::size_t best = 0;
+  int evaluations = 0;
+  for (std::size_t k = 0; k < starts.size(); ++k) {
+    evaluations += starts[k].evaluations;
+    if (starts[k].lml > starts[best].lml) best = k;
+  }
+  if (!std::isfinite(starts[best].lml)) {
     throw std::runtime_error(
         "fit_kernel_by_ml: no feasible kernel parameters found");
   }
 
   KernelFitResult result;
-  result.params = best.to_kernel_params();
-  result.noise_variance = best.noise_variance(options.min_noise_variance);
-  result.log_marginal_likelihood = best_lml;
+  result.params = starts[best].params.to_kernel_params();
+  result.noise_variance =
+      starts[best].params.noise_variance(options.min_noise_variance);
+  result.log_marginal_likelihood = starts[best].lml;
   result.evaluations = evaluations;
   span.trace_arg({"probes", evaluations});
 

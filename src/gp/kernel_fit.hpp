@@ -11,6 +11,10 @@
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
 
+namespace hp::parallel {
+class ThreadPool;
+}  // namespace hp::parallel
+
 namespace hp::gp {
 
 /// Search configuration for maximum-likelihood kernel fitting.
@@ -36,9 +40,18 @@ struct KernelFitResult {
 
 /// Maximizes the LML of @p gp's kernel family on (@p x, @p y) and installs
 /// the best hyper-parameters into @p gp (which ends up fitted on the data).
-/// Throws std::invalid_argument on an empty/mismatched dataset.
+///
+/// The search runs num_restarts + 1 independent starts: start 0 climbs
+/// from @p gp's current parameters, start k > 0 from a random point, and
+/// start k draws only from stats::stream_seed(options.seed, k). The best
+/// start by LML wins, the lowest k on ties; `evaluations` sums the probes
+/// of every start. With @p pool the starts run on its threads; the result
+/// is bitwise the same with or without a pool and at any pool size.
+/// Throws std::invalid_argument on an empty/mismatched dataset or a
+/// negative num_restarts.
 KernelFitResult fit_kernel_by_ml(GaussianProcess& gp, const linalg::Matrix& x,
                                  const linalg::Vector& y,
-                                 const KernelFitOptions& options = {});
+                                 const KernelFitOptions& options = {},
+                                 parallel::ThreadPool* pool = nullptr);
 
 }  // namespace hp::gp

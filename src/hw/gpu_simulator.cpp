@@ -11,7 +11,8 @@ GpuSimulator::GpuSimulator(DeviceSpec device, std::uint64_t seed,
 void GpuSimulator::load_model(const nn::CnnSpec& spec) {
   InferenceCost cost = cost_model_.evaluate(spec);
   if (cost.memory_mb > cost_model_.device().dram_gb * 1024.0) {
-    throw std::runtime_error("GpuSimulator: model does not fit in device memory");
+    throw ModelTooLargeError(
+        "GpuSimulator: model does not fit in device memory");
   }
   cost_ = cost;
   inference_active_ = false;

@@ -7,12 +7,22 @@
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "hw/cost_model.hpp"
 #include "hw/sensor.hpp"
 #include "stats/rng.hpp"
 
 namespace hp::hw {
+
+/// A model that does not fit in the device's memory: a property of the
+/// (spec, device) pair, so retrying cannot help.
+class ModelTooLargeError : public std::runtime_error {
+ public:
+  explicit ModelTooLargeError(const std::string& what)
+      : std::runtime_error(what) {}
+};
 
 /// Memory counters, mirroring nvmlMemory_t (MB units for convenience).
 struct MemoryInfo {
@@ -29,7 +39,7 @@ class GpuSimulator {
 
   /// Loads @p spec onto the device (allocates memory, readies kernels).
   /// Throws std::invalid_argument for infeasible specs and
-  /// std::runtime_error if the model does not fit in device memory.
+  /// ModelTooLargeError if the model does not fit in device memory.
   void load_model(const nn::CnnSpec& spec);
 
   /// Unloads the current model; the device returns to idle.

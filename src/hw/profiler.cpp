@@ -12,6 +12,9 @@ namespace {
 
 /// Memory-query retries before the sample degrades to "no memory reading".
 constexpr std::size_t kMemoryQueryAttempts = 3;
+/// Attempts at profiling one spec whose power burst came back dark
+/// (SensorError) before profile_all() gives up on the sensor.
+constexpr std::size_t kProfileAttempts = 3;
 
 /// Records a spec profile_all() skipped, with the reason it failed.
 void log_profile_failure(const std::exception& e) {
@@ -118,15 +121,27 @@ std::vector<ProfileSample> InferenceProfiler::profile_all(
   std::vector<ProfileSample> samples;
   samples.reserve(specs.size());
   for (const nn::CnnSpec& spec : specs) {
-    try {
-      samples.push_back(profile(spec));
-    } catch (const std::invalid_argument& e) {
-      // Infeasible architecture (spatial collapse): skip, as the paper's
-      // generation scripts skip Caffe definition failures.
-      log_profile_failure(e);
-    } catch (const std::runtime_error& e) {
-      // Model too large for the device: skip.
-      log_profile_failure(e);
+    for (std::size_t attempt = 1;; ++attempt) {
+      try {
+        samples.push_back(profile(spec));
+      } catch (const std::invalid_argument& e) {
+        // Infeasible architecture (spatial collapse): skip, as the paper's
+        // generation scripts skip Caffe definition failures.
+        log_profile_failure(e);
+      } catch (const ModelTooLargeError& e) {
+        // Does not fit in device memory on this platform: skip.
+        log_profile_failure(e);
+      } catch (const SensorError& e) {
+        // A dark burst is transient: profile the spec again, and let a
+        // sensor that stays dark fail the pass. Any other runtime_error (a
+        // hard NVML query failure) propagates at once.
+        if (attempt == kProfileAttempts) throw;
+        obs::logger().debug("hw.profile_retry",
+                            {{"attempt", obs::JsonValue(attempt)},
+                             {"reason", obs::JsonValue(e.what())}});
+        continue;
+      }
+      break;
     }
   }
   return samples;

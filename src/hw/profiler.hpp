@@ -64,7 +64,10 @@ class InferenceProfiler {
   /// Throws std::invalid_argument for infeasible specs.
   [[nodiscard]] ProfileSample profile(const nn::CnnSpec& spec);
 
-  /// Profiles a batch of configurations, skipping infeasible ones.
+  /// Profiles a batch of configurations, skipping infeasible ones and
+  /// ones too large for the device. A spec whose power burst fails
+  /// (SensorError) is profiled again, up to three attempts; after that, and
+  /// on any other error, the exception propagates.
   [[nodiscard]] std::vector<ProfileSample> profile_all(
       const std::vector<nn::CnnSpec>& specs);
 

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 
 #include "obs/trace.hpp"
 
@@ -23,11 +24,12 @@ class ScopedTimer {
   ///   (sample index, attempt number, round base) so span IDs are stable
   ///   across thread counts.
   explicit ScopedTimer(const char* name, std::uint64_t key = 0) noexcept
-      : name_(name), on_(tracer().enabled()) {
-    if (!on_) return;
-    parent_ = tracer().current_context();
-    id_ = tracer().begin_span(name, key, &child_s_);
-    start_ = std::chrono::steady_clock::now();
+      : name_(name) {
+    if (!tracer().enabled()) return;
+    Live& live = live_.emplace();
+    live.parent = tracer().current_context();
+    live.id = tracer().begin_span(name, key, &live.child_s);
+    live.start = std::chrono::steady_clock::now();
   }
 
   ScopedTimer(const ScopedTimer&) = delete;
@@ -37,34 +39,39 @@ class ScopedTimer {
 
   /// Attaches a typed annotation to the span (no-op while tracing is off).
   void trace_arg(TraceArg arg) noexcept {
-    if (!on_ || num_args_ >= kMaxTraceArgs) return;
-    args_[num_args_++] = arg;
+    if (!live_ || live_->num_args >= kMaxTraceArgs) return;
+    live_->args[live_->num_args++] = arg;
   }
 
   /// Records and disarms early (idempotent).
   void stop() noexcept {
-    if (!on_) return;
-    on_ = false;
+    if (!live_) return;
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start_)
+                                      live_->start)
             .count();
-    tracer().end_span(id_, parent_, name_, start_, elapsed,
-                      child_s_.load(std::memory_order_relaxed), args_,
-                      num_args_);
+    tracer().end_span(live_->id, live_->parent, name_, live_->start, elapsed,
+                      live_->child_s.load(std::memory_order_relaxed),
+                      live_->args, live_->num_args);
+    live_.reset();
   }
 
  private:
+  /// The state of a recording span. Constructed only when the tracer is
+  /// on, so a dark span initializes nothing beyond the optional's flag.
+  struct Live {
+    std::uint64_t id = 0;
+    SpanContext parent;
+    /// Summed durations of this span's direct children, credited by them
+    /// at their end — from pool threads too, hence atomic.
+    std::atomic<double> child_s{0.0};
+    std::uint8_t num_args = 0;
+    TraceArg args[kMaxTraceArgs];
+    std::chrono::steady_clock::time_point start;
+  };
+
   const char* name_;
-  bool on_;
-  std::uint64_t id_ = 0;
-  SpanContext parent_;
-  /// Summed durations of this span's direct children, credited by them at
-  /// their end — from pool threads too, hence atomic.
-  std::atomic<double> child_s_{0.0};
-  std::uint8_t num_args_ = 0;
-  TraceArg args_[kMaxTraceArgs];
-  std::chrono::steady_clock::time_point start_;
+  std::optional<Live> live_;
 };
 
 }  // namespace hp::obs

@@ -138,4 +138,13 @@ void ThreadPool::parallel_for(std::size_t n,
   if (batch->error) std::rethrow_exception(batch->error);
 }
 
+void parallel_for(ThreadPool* pool, std::size_t n,
+                  const std::function<void(std::size_t)>& body) {
+  if (pool != nullptr) {
+    pool->parallel_for(n, body);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) body(i);
+}
+
 }  // namespace hp::parallel

@@ -74,4 +74,10 @@ class ThreadPool {
   bool stopping_ HP_GUARDED_BY(queue_mutex_) = false;
 };
 
+/// body(0) .. body(n-1) on @p pool, or in index order on the calling thread
+/// when @p pool is null: the one dispatch for code that takes an optional
+/// pool.
+void parallel_for(ThreadPool* pool, std::size_t n,
+                  const std::function<void(std::size_t)>& body);
+
 }  // namespace hp::parallel

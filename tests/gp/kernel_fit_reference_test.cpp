@@ -1,6 +1,7 @@
-// Bitwise equivalence of fit_kernel_by_ml() against a reference search
-// whose every probe fits a fresh GaussianProcess — the straightforward
-// formulation the cached-difference probe must reproduce exactly. Doubles
+// Bitwise equivalence of fit_kernel_by_ml() against a serial reference
+// search whose every probe fits a fresh GaussianProcess — the
+// straightforward formulation the cached-difference probe and the
+// independent per-start streams must reproduce exactly. Doubles
 // are compared with EXPECT_EQ, never a tolerance: the golden traces depend
 // on the fit choosing identical hyper-parameters.
 
@@ -46,13 +47,15 @@ struct RefParams {
 };
 
 /// The search of fit_kernel_by_ml() with each probe a fitted
-/// GaussianProcess; a probe whose factorization fails scores -inf.
+/// GaussianProcess; a probe whose factorization fails scores -inf. Start k
+/// (0 = incumbent, then the random restarts) draws from its own
+/// stream_seed(seed, k) stream; the best start by LML wins, the lowest k on
+/// ties.
 KernelFitResult reference_fit(const GaussianProcess& gp, const Matrix& x,
                               const Vector& y,
                               const KernelFitOptions& options) {
   const KernelParams& start = gp.kernel().params();
   const std::size_t num_ls = x.cols();
-  stats::Rng rng(options.seed);
   int evaluations = 0;
   const auto evaluate = [&](const RefParams& fp) -> double {
     ++evaluations;
@@ -71,21 +74,24 @@ KernelFitResult reference_fit(const GaussianProcess& gp, const Matrix& x,
     return std::min(options.max_log, std::max(options.min_log, v));
   };
 
-  RefParams best;
-  best.num_length_scales = num_ls;
-  best.has_noise = options.fit_noise;
-  best.values.push_back(clamp_log(std::log(start.signal_variance)));
+  RefParams incumbent;
+  incumbent.num_length_scales = num_ls;
+  incumbent.has_noise = options.fit_noise;
+  incumbent.values.push_back(clamp_log(std::log(start.signal_variance)));
   for (std::size_t d = 0; d < num_ls; ++d) {
-    best.values.push_back(clamp_log(std::log(start.length_scale(
+    incumbent.values.push_back(clamp_log(std::log(start.length_scale(
         start.length_scales.size() == 1 ? 0 : d))));
   }
   if (options.fit_noise) {
-    best.values.push_back(clamp_log(
+    incumbent.values.push_back(clamp_log(
         std::log(std::max(gp.noise_variance(), options.min_noise_variance))));
   }
-  double best_lml = evaluate(best);
+  RefParams best;
+  double best_lml = -std::numeric_limits<double>::infinity();
   for (int restart = 0; restart <= options.num_restarts; ++restart) {
-    RefParams current = best;
+    stats::Rng rng(stats::stream_seed(options.seed,
+                                      static_cast<std::uint64_t>(restart)));
+    RefParams current = incumbent;
     if (restart > 0) {
       for (double& v : current.values) {
         v = clamp_log(rng.uniform(options.min_log / 2.0, options.max_log / 2.0));
@@ -114,7 +120,7 @@ KernelFitResult reference_fit(const GaussianProcess& gp, const Matrix& x,
       }
       if (!improved) step *= 0.5;
     }
-    if (current_lml > best_lml) {
+    if (restart == 0 || current_lml > best_lml) {
       best = current;
       best_lml = current_lml;
     }

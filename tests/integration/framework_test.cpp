@@ -131,16 +131,23 @@ TEST_F(FrameworkTest, HyperPowerRandQueriesManyMoreSamplesPerHour) {
 TEST_F(FrameworkTest, HwIeciRarelyTrainsViolatingSamples) {
   HyperPowerFramework fw(problem_, budgets_);
   train_models(fw);
-  OptimizerOptions opt = mode(true);
-  opt.max_function_evaluations = 15;
-  opt.max_samples = 2000;
-  opt.seed = 13;
-  objective_.virtual_clock().reset();
-  const RunResult result = search(fw, Method::HwIeci, opt);
   // The paper reports zero constraint-violating samples for HW-IECI; with
   // a ~3% RMSPE model a rare borderline miss is possible but must stay
-  // marginal.
-  EXPECT_LE(result.trace.measured_violation_count(), 2u);
+  // marginal. Any one seed is a single draw — a run near the budget can
+  // take three misses — so the claim is checked over twenty seeds: at
+  // most one miss per 15-evaluation run on average. Searching without the
+  // a-priori models trains ~4.5 violating samples per run here.
+  std::size_t violations = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    OptimizerOptions opt = mode(true);
+    opt.max_function_evaluations = 15;
+    opt.max_samples = 2000;
+    opt.seed = seed;
+    objective_.virtual_clock().reset();
+    violations +=
+        search(fw, Method::HwIeci, opt).trace.measured_violation_count();
+  }
+  EXPECT_LE(violations, 20u);
 }
 
 TEST_F(FrameworkTest, SetHardwareModelsInstallsExternalModels) {

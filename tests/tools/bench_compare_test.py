@@ -335,6 +335,56 @@ class BenchCompareTest(unittest.TestCase):
         self.assertEqual(code, 2)
         self.assertIn("no positive counter 'bare_over_dark'", err)
 
+    def _write_scaling_invariant(self):
+        (self.baseline / "tracked.json").write_text(json.dumps({
+            "invariants": [{
+                "file": "BENCH_micro_parallel.json",
+                "numerator": "BM_Fit/threads:1",
+                "denominator": "BM_Fit/threads:4",
+                "min_ratio": 1.5,
+                "min_nproc": 4,
+            }]}))
+
+    def _write_scaling_benches(self, nproc, four_thread_time):
+        for directory in (self.baseline, self.current):
+            write_bench(directory, "BENCH_micro_parallel.json",
+                        {"BM_Fit/threads:1": 100.0,
+                         "BM_Fit/threads:4": four_thread_time},
+                        provenance(nproc=nproc))
+
+    def test_scaling_invariant_checked_with_enough_cores(self):
+        self._write_scaling_invariant()
+        self._write_scaling_benches(nproc=4, four_thread_time=50.0)
+        code, out, _ = run_compare(self.args())
+        self.assertEqual(code, 0)
+        self.assertIn("OK         invariant BM_Fit/threads:1/"
+                      "BM_Fit/threads:4 = 2.000x", out)
+
+    def test_scaling_invariant_violation_fails_with_enough_cores(self):
+        self._write_scaling_invariant()
+        self._write_scaling_benches(nproc=8, four_thread_time=90.0)
+        code, out, _ = run_compare(self.args())
+        self.assertEqual(code, 1)
+        self.assertIn("VIOLATION", out)
+
+    def test_scaling_invariant_skipped_on_fewer_cores(self):
+        self._write_scaling_invariant()
+        self._write_scaling_benches(nproc=2, four_thread_time=90.0)
+        code, out, _ = run_compare(self.args())
+        self.assertEqual(code, 0)
+        self.assertIn("SKIPPED    invariant BM_Fit/threads:1/"
+                      "BM_Fit/threads:4: needs nproc >= 4", out)
+
+    def test_scaling_invariant_skipped_without_core_count(self):
+        self._write_scaling_invariant()
+        write_bench(self.current, "BENCH_micro_parallel.json",
+                    {"BM_Fit/threads:1": 100.0, "BM_Fit/threads:4": 90.0})
+        code, out, _ = run_compare(
+            ["--baseline-dir", str(self.baseline),
+             "--current-dir", str(self.current)])
+        self.assertEqual(code, 0)
+        self.assertIn("nproc=unknown", out)
+
     def test_invariant_without_any_bound_is_error(self):
         write_bench(self.baseline, "BENCH_a.json",
                     {"BM_Fleet/1": 120.0, "BM_InProc": 100.0})

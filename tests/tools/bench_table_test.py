@@ -29,6 +29,15 @@ def times():
     return out
 
 
+def parallel_times():
+    out = {}
+    for prefix, _ in bench_table.SCALING:
+        one, four = bench_table.scaling_runs(prefix)
+        out[one] = 40_000_000.0
+        out[four] = 16_000_000.0
+    return out
+
+
 class FormatTest(unittest.TestCase):
     def test_units(self):
         self.assertEqual(bench_table.format_ns(7_150.0), "7.2 µs")
@@ -36,11 +45,26 @@ class FormatTest(unittest.TestCase):
         self.assertEqual(bench_table.format_ns(6_684_057.0), "6.68 ms")
 
 
+class LoadTest(unittest.TestCase):
+    def test_times_are_converted_to_ns(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "BENCH_x.json"
+            path.write_text(
+                '{"runs": [{"name": "a", "real_time": 2.5, '
+                '"time_unit": "ms"}, {"name": "b", "real_time": 7.0}, '
+                '{"name": "c", "real_time": 3.0, "time_unit": "us"}]}',
+                encoding="utf-8")
+            times, provenance = bench_table.load_baseline(path)
+        self.assertEqual(times, {"a": 2_500_000.0, "b": 7.0, "c": 3_000.0})
+        self.assertEqual(provenance, {})
+
+
 class RenderTest(unittest.TestCase):
     def test_rows_ratio_and_provenance(self):
         block = bench_table.render(
             times(), {"compiler": "gcc 12.2.0", "build_type": "Release",
-                      "nproc": 4, "git_sha": "0123456789abcdef"}, 5.0)
+                      "nproc": 4, "git_sha": "0123456789abcdef"}, 5.0,
+            parallel_times(), [1.3, 1.2])
         self.assertTrue(block.startswith(bench_table.BEGIN))
         self.assertTrue(block.endswith(bench_table.END))
         self.assertIn("| `BM_GpRefitFull` (fresh GP per fit) | 100 µs | "
@@ -49,17 +73,29 @@ class RenderTest(unittest.TestCase):
         self.assertIn("≥ 5×", block)
         self.assertIn("takes 590 µs", block)
         self.assertIn("4 CPUs, commit `0123456789ab`.", block)
+        self.assertIn("| `BM_KernelMlFit` (the cifar config's last BO kernel "
+                      "fit (n = 117, 1 + 4 starts)) | 40.00 ms | 16.00 ms | "
+                      "2.5× | ≥ 1.3× |", block)
+        self.assertIn("| 2.5× | ≥ 1.2× |", block)
 
     def test_uncommitted_build_keeps_dirty_marker(self):
         block = bench_table.render(
-            times(), {"git_sha": "0123456789abcdef-dirty"}, 5.0)
+            times(), {"git_sha": "0123456789abcdef-dirty"}, 5.0,
+            parallel_times(), [1.6, 1.2])
         self.assertIn("commit `0123456789ab-dirty`.", block)
 
     def test_missing_run_is_an_error(self):
         partial = times()
         del partial["BM_CholeskyExtend/200"]
         with self.assertRaises(bench_table.TableError):
-            bench_table.render(partial, {}, 5.0)
+            bench_table.render(partial, {}, 5.0, parallel_times(),
+                               [1.6, 1.2])
+
+    def test_missing_scaling_run_is_an_error(self):
+        partial = parallel_times()
+        del partial[bench_table.scaling_runs("BM_AcqArgmax")[1]]
+        with self.assertRaises(bench_table.TableError):
+            bench_table.render(times(), {}, 5.0, partial, [1.6, 1.2])
 
 
 class CheckTest(unittest.TestCase):

@@ -28,7 +28,10 @@ Checks, in order:
    ratio is either numerator/denominator, two runs' real_time, or a
    ratio one benchmark measured itself and reported as a user counter
    ("run" + "counter": e.g. a paired measurement that interleaves both
-   variants, so machine drift between two runs cannot move it).
+   variants, so machine drift between two runs cannot move it). A
+   thread-scaling ratio (e.g. 1 thread over 4) names the core count it
+   needs as "min_nproc"; it is skipped, with a note, when the current
+   file records fewer cores (or none).
 
 Exit codes:
   0  no regression (missing baseline files only produce warnings)
@@ -208,6 +211,14 @@ def check_invariants(tracked_path: Path, current_dir: Path) -> list[str]:
             print(f"WARNING    invariant {label}: "
                   f"{file_name} not in current dir, skipped")
             continue
+        min_nproc = inv.get("min_nproc")
+        if min_nproc is not None:
+            nproc = load_provenance(current_file).get("nproc")
+            if not isinstance(nproc, int) or nproc < int(min_nproc):
+                print(f"SKIPPED    invariant {label}: needs nproc >= "
+                      f"{min_nproc}, {file_name} was measured on nproc="
+                      f"{nproc if nproc is not None else 'unknown'}")
+                continue
         if "counter" in inv:
             ratio = load_counter(current_file, inv["run"], inv["counter"])
         else:

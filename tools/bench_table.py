@@ -8,7 +8,9 @@ micro-benchmark baseline, so the table cannot drift from the JSON.
 
 The block sits between the BEGIN/END marker comments in EXPERIMENTS.md.
 Its numbers come from bench/baselines/BENCH_micro_components.json (the
-real_time of each run) and the floor from bench/baselines/tracked.json.
+real_time of each run), the proposer's 1-over-4-thread scaling from
+bench/baselines/BENCH_micro_parallel.json, and the floors from
+bench/baselines/tracked.json.
 
 Exit codes: 0 ok, 1 the committed block differs from the rendering (--check),
 2 missing markers, files or runs.
@@ -23,6 +25,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BASELINE = ROOT / "bench" / "baselines" / "BENCH_micro_components.json"
+PARALLEL_BASELINE = (ROOT / "bench" / "baselines" /
+                     "BENCH_micro_parallel.json")
 TRACKED = ROOT / "bench" / "baselines" / "tracked.json"
 DOC = ROOT / "EXPERIMENTS.md"
 
@@ -40,6 +44,18 @@ ROWS = [
 SIZES = (100, 200)
 RATIO = ("BM_GpRefitFull/200", "BM_GpRefitIncremental/200")
 ML_FIT = "BM_KernelMlFit/40"
+# (benchmark prefix, description) of the proposer phases that run on the
+# engine's pool; each is timed at 1 and 4 threads in BENCH_micro_parallel.
+SCALING = [
+    ("BM_KernelMlFit",
+     "the cifar config's last BO kernel fit (n = 117, 1 + 4 starts)"),
+    ("BM_AcqArgmax", "one HW-IECI acquisition argmax (1,000 candidates)"),
+]
+
+
+def scaling_runs(prefix: str) -> tuple[str, str]:
+    """The 1-thread and 4-thread run names of a SCALING benchmark."""
+    return (f"{prefix}/threads:1/real_time", f"{prefix}/threads:4/real_time")
 
 
 class TableError(Exception):
@@ -56,15 +72,21 @@ def format_ns(ns: float) -> str:
     return f"{us / 1000.0:.2f} ms"
 
 
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
 def load_baseline(path: Path) -> tuple[dict[str, float], dict]:
     """(run name -> real_time in ns, provenance object or {})."""
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
+        times = {run["name"]: float(run["real_time"])
+                 * NS_PER_UNIT[run.get("time_unit", "ns")]
+                 for run in doc.get("runs", [])
+                 if "name" in run and "real_time" in run}
     except (OSError, json.JSONDecodeError) as exc:
         raise TableError(f"{path}: {exc}")
-    times = {run["name"]: float(run["real_time"])
-             for run in doc.get("runs", [])
-             if "name" in run and "real_time" in run}
+    except KeyError as exc:
+        raise TableError(f"{path}: unknown time_unit {exc}")
     return times, doc.get("provenance", {})
 
 
@@ -79,22 +101,27 @@ def describe(provenance: dict) -> str:
             f"`{commit[:12]}{dirty}`.")
 
 
-def ratio_floor(path: Path) -> float:
+def ratio_floor(path: Path, ratio: tuple[str, str]) -> float:
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise TableError(f"{path}: {exc}")
     for inv in doc.get("invariants", []):
-        if (inv.get("numerator"), inv.get("denominator")) == RATIO:
+        if (inv.get("numerator"), inv.get("denominator")) == ratio:
             return float(inv["min_ratio"])
-    raise TableError(f"{path}: no invariant {RATIO[0]} / {RATIO[1]}")
+    raise TableError(f"{path}: no invariant {ratio[0]} / {ratio[1]}")
 
 
-def render(times: dict[str, float], provenance: dict, floor: float) -> str:
+def render(times: dict[str, float], provenance: dict, floor: float,
+           parallel_times: dict[str, float],
+           scaling_floors: list[float]) -> str:
+    def lookup(table: dict[str, float], name: str, source: Path) -> float:
+        if name not in table:
+            raise TableError(f"run {name} missing from {source.name}")
+        return table[name]
+
     def at(name: str) -> float:
-        if name not in times:
-            raise TableError(f"run {name} missing from {BASELINE.name}")
-        return times[name]
+        return lookup(times, name, BASELINE)
 
     lines = [BEGIN,
              "| benchmark | n = 100 | n = 200 | scaling |",
@@ -111,8 +138,21 @@ def render(times: dict[str, float], provenance: dict, floor: float) -> str:
         f"maximum-likelihood kernel fit (`{ML_FIT}`: n = 40, 6 inputs, "
         f"one restart) takes {format_ns(at(ML_FIT))}. "
         + describe(provenance),
-        END,
+        "",
+        "The proposer phases that run on the engine's pool, at 1 and 4 "
+        "threads (`BENCH_micro_parallel.json`; the 1-over-4 floors apply "
+        "where nproc ≥ 4):",
+        "",
+        "| benchmark | 1 thread | 4 threads | speedup | floor |",
+        "|---|---|---|---|---|",
     ]
+    for (prefix, description), scaling_floor in zip(SCALING, scaling_floors):
+        one, four = (lookup(parallel_times, run, PARALLEL_BASELINE)
+                     for run in scaling_runs(prefix))
+        lines.append(f"| `{prefix}` ({description}) | {format_ns(one)} | "
+                     f"{format_ns(four)} | {one / four:.1f}× | "
+                     f"≥ {scaling_floor:g}× |")
+    lines.append(END)
     return "\n".join(lines)
 
 
@@ -133,7 +173,12 @@ def main(argv: list[str] | None = None) -> int:
                       help="exit 1 if EXPERIMENTS.md differs from the JSON")
     args = parser.parse_args(argv)
     try:
-        block = render(*load_baseline(BASELINE), ratio_floor(TRACKED))
+        times, provenance = load_baseline(BASELINE)
+        parallel_times, _ = load_baseline(PARALLEL_BASELINE)
+        block = render(times, provenance, ratio_floor(TRACKED, RATIO),
+                       parallel_times,
+                       [ratio_floor(TRACKED, scaling_runs(prefix))
+                        for prefix, _ in SCALING])
         if not (args.write or args.check):
             print(block)
             return 0

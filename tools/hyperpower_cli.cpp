@@ -54,7 +54,8 @@ commands:
   optimize  --problem P --device NAME --method rand|rand-walk|hw-cwei|hw-ieci
             [--power-budget W] [--memory-budget MB] [--hours H | --evals N]
             [--default-mode] [--seed S] [--trace PATH]
-            [--batch K] [--threads T]   (batched parallel evaluation)
+            [--batch K] [--threads T]   (batched parallel evaluation;
+            the T threads also run the BO kernel fit and argmax)
             [--retries N]                      (fault tolerance)
             [--journal PATH] [--resume]        (crash-safe checkpointing)
             [--fault-rate R] [--fault-seed S] [--sensor-fault-rate R]

@@ -80,16 +80,21 @@ cmake --build build-tsan -j "$jobs" \
 # discovery over every registered test target, most of which this phase
 # deliberately never builds. test_resilience and test_integration join the
 # concurrency suites because retries under parallel_map and batched
-# crash/resume cross thread boundaries.
+# crash/resume cross thread boundaries. test_parallel includes the
+# proposer's pooled kernel fit and acquisition scoring
+# (tests/parallel/proposer_pool_test.cpp).
 ./build-tsan/tests/test_parallel
 ./build-tsan/tests/test_obs
 ./build-tsan/tests/test_resilience
 ./build-tsan/tests/test_integration
 # Benches are code too: BM_ParallelForSpin drives the pool from every
-# thread at once. A short run is enough for TSan to see any shared write;
-# its BENCH_micro_parallel.json lands in the temp dir removed on exit.
+# thread at once, and BM_KernelMlFit / BM_AcqArgmax run the proposer's
+# pooled kernel-fit starts and score blocks. A short run is enough for
+# TSan to see any shared write; its BENCH_micro_parallel.json lands in the
+# temp dir removed on exit.
 HYPERPOWER_BENCH_DIR="$probe_dir" ./build-tsan/bench/bench_micro_parallel \
-  --benchmark_filter=BM_ParallelForSpin --benchmark_min_time=0.01
+  --benchmark_filter='BM_ParallelForSpin|BM_KernelMlFit|BM_AcqArgmax' \
+  --benchmark_min_time=0.01
 
 echo "== tier 1: AddressSanitizer (+LSan) pass (full suite) =="
 ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1:${ASAN_OPTIONS:-}" \
